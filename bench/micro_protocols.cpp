@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the protocol operations: CYCLON
-// shuffle cycles, VICINITY proximity cycles, target selection, overlay
-// snapshotting, and end-to-end disseminations. These quantify the cost of
-// the simulator itself — useful when scaling experiments up.
+// shuffle cycles, VICINITY proximity cycles and its ring-band ranking
+// kernel, target selection, overlay snapshotting, and end-to-end
+// disseminations. These quantify the cost of the simulator itself —
+// useful when scaling experiments up.
 //
 // Shares the bench-wide CLI surface: --quick restricts the run to the
 // cheap benchmarks (for CI smoke), --json PATH writes the BENCH_*.json
@@ -10,6 +11,7 @@
 // through to google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +23,7 @@
 #include "cast/session.hpp"
 #include "common/alloc_probe.hpp"
 #include "common/rng.hpp"
+#include "gossip/ring_band.hpp"
 #include "net/codec.hpp"
 
 namespace {
@@ -191,6 +194,95 @@ void BM_TargetSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_TargetSelection);
 
+/// One VICINITY selection's input: a duplicate-free first source (a
+/// view), a second source that may repeat it, the anchor and the budget.
+struct BandInput {
+  std::vector<net::PeerDescriptor> unique;
+  std::vector<net::PeerDescriptor> extra;
+  SequenceId anchor = 0;
+  std::size_t budget = 0;
+};
+
+/// Selections shaped like VICINITY's two, taken from a warmed overlay.
+/// An offer pools the initiator's VICINITY and CYCLON views (~39
+/// candidates) into exchangeLength - 1 = 9 for a partner; a merge pools
+/// the partner's view and that offer (~30) into viewLength = 20.
+const std::vector<BandInput>& ringBandInputs(bool merge) {
+  static const auto shapes = [] {
+    const auto scenario = warmScenario(1'000);
+    const auto& vicinity = scenario.vicinity();
+    const auto& params = vicinity.params();
+    const auto& ids = scenario.network().aliveIds();
+    Rng rng(8);
+    gossip::RingBand band;
+    std::array<std::vector<BandInput>, 2> out;
+    for (int i = 0; i < 1'024; ++i) {
+      const NodeId self = ids[rng.below(ids.size())];
+      const auto& own = vicinity.view(self);
+      const auto& random = scenario.cyclon().view(self);
+      // Partner choice as in Vicinity::step: own view or random layer.
+      const NodeId target = rng.chance(0.5)
+                                ? own.at(rng.below(own.size())).node
+                                : random.at(rng.below(random.size())).node;
+      BandInput offer{{}, {}, vicinity.profileOf(target),
+                      params.exchangeLength - 1};
+      for (const auto& e : own.entries())
+        if (e.node != target) offer.unique.push_back(e);
+      for (const auto& e : random.entries())
+        if (e.node != target)
+          offer.extra.push_back({e.node, e.age, vicinity.profileOf(e.node)});
+
+      BandInput merge{{}, {}, vicinity.profileOf(target), params.viewLength};
+      const auto& partner = vicinity.view(target).entries();
+      merge.unique.assign(partner.begin(), partner.end());
+      band.reset(offer.unique.size() + offer.extra.size());
+      for (const auto& e : offer.unique) band.add(e);
+      for (const auto& e : offer.extra) band.add(e);
+      band.select(offer.anchor, offer.budget);
+      for (const auto& e : band.entries())
+        if (e.node != target) merge.extra.push_back(e);
+      merge.extra.push_back({self, 0, vicinity.profileOf(self)});
+
+      out[0].push_back(std::move(offer));
+      out[1].push_back(std::move(merge));
+    }
+    return out;
+  }();
+  return shapes[merge ? 1 : 0];
+}
+
+void BM_RingBandSelect(benchmark::State& state) {
+  const auto& inputs = ringBandInputs(state.range(0) == 1);
+  gossip::RingBand band;
+  const auto select = [&band](const BandInput& in) {
+    band.reset(in.unique.size() + in.extra.size());
+    for (const auto& e : in.unique) band.add(e);
+    for (const auto& e : in.extra) band.add(e);
+    band.select(in.anchor, in.budget);
+    benchmark::DoNotOptimize(band.entries().data());
+    benchmark::ClobberMemory();
+  };
+  // One pass brings the kernel's buffers to their high water; the timed
+  // loop then measures the allocation-free regime.
+  for (const auto& in : inputs) select(in);
+  std::size_t next = 0;
+  const vs07::AllocScope allocs;
+  for (auto _ : state) {
+    select(inputs[next]);
+    next = next + 1 == inputs.size() ? 0 : next + 1;
+  }
+  const std::uint64_t allocDelta = allocs.allocations();
+  double pooled = 0;
+  for (const auto& in : inputs) pooled += in.unique.size() + in.extra.size();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["candidates"] = pooled / static_cast<double>(inputs.size());
+  state.counters["budget"] = static_cast<double>(inputs.front().budget);
+  // A selection runs four times per exchange: it must not allocate.
+  state.counters["allocs_per_call"] =
+      static_cast<double>(allocDelta) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_RingBandSelect)->ArgName("merge")->Arg(0)->Arg(1);
+
 void BM_MessageCodec(benchmark::State& state) {
   net::Message msg;
   msg.kind = net::MessageKind::CyclonRequest;
@@ -291,7 +383,7 @@ int main(int argc, char** argv) {
     // sharded lockstep, and sharded windowed-latency), whose
     // allocs_per_cycle counters guard the zero-allocation hot path.
     passthroughStore.push_back(
-        "--benchmark_filter=BM_(MessageCodec|TargetSelection)"
+        "--benchmark_filter=BM_(MessageCodec|TargetSelection|RingBandSelect)"
         "|BM_GossipCycle/1000$|BM_ShardedGossipCycle(Latency)?/1000/2$");
 
   std::vector<char*> passthrough;
@@ -337,17 +429,21 @@ int main(int argc, char** argv) {
   report.write(scale);
   benchmark::Shutdown();
 
-  // The zero-allocation assertion for the sharded engine: any steady-
-  // state allocation on any worker thread fails the whole bench run.
+  // The zero-allocation assertion for the sharded engine and the
+  // ring-band kernel it runs four times per exchange: any steady-state
+  // allocation on any worker thread fails the whole bench run.
   bool allocFree = true;
   for (const auto& run : reporter.captured()) {
-    if (run.name.rfind("BM_ShardedGossipCycle", 0) != 0) continue;
+    const bool sharded = run.name.rfind("BM_ShardedGossipCycle", 0) == 0;
+    const bool kernel = run.name.rfind("BM_RingBandSelect", 0) == 0;
+    if (!sharded && !kernel) continue;
+    const char* counter = sharded ? "allocs_per_cycle" : "allocs_per_call";
     for (const auto& [name, value] : run.counters)
-      if (name == "allocs_per_cycle" && value != 0.0) {
+      if (name == counter && value != 0.0) {
         std::fprintf(stderr,
-                     "FAIL: %s allocated %.2f times/cycle in steady state "
-                     "(sharded cycles must be allocation-free)\n",
-                     run.name.c_str(), value);
+                     "FAIL: %s: %s = %.2f in steady state (must be "
+                     "allocation-free)\n",
+                     run.name.c_str(), counter, value);
         allocFree = false;
       }
   }

@@ -5,53 +5,6 @@
 
 namespace vs07::gossip {
 
-namespace {
-
-/// Appends `entry` to `pool` unless an entry for the same node exists, in
-/// which case the *fresher* (lower age) of the two is kept.
-void poolInsert(std::vector<PeerDescriptor>& pool,
-                const PeerDescriptor& entry) {
-  for (auto& existing : pool) {
-    if (existing.node == entry.node) {
-      if (entry.age < existing.age) existing = entry;
-      return;
-    }
-  }
-  pool.push_back(entry);
-}
-
-/// Reduces `pool` to at most `budget` entries forming a balanced band
-/// around `anchor` on the id ring: the closest ⌈budget/2⌉ in clockwise
-/// (successor) direction plus the closest ⌊budget/2⌋ counter-clockwise.
-///
-/// This is the paper's §6 view content — "peers with gradually higher and
-/// lower sequence IDs" — and, unlike a symmetric nearest-k selection, it
-/// keeps both ring directions represented even when sequence ids are
-/// clustered (e.g. the §8 domain-sorted ring, where a node's whole
-/// cluster is nearer than its true cross-cluster successor).
-void selectRingBand(SequenceId anchor, std::vector<PeerDescriptor>& pool,
-                    std::size_t budget) {
-  if (pool.size() <= budget) return;
-  // Sort by clockwise distance from the anchor (ties by node id for
-  // determinism). The first entries are the nearest successors; the last
-  // are the nearest predecessors.
-  std::sort(pool.begin(), pool.end(),
-            [anchor](const PeerDescriptor& a, const PeerDescriptor& b) {
-              const auto da = clockwiseDistance(anchor, a.profile);
-              const auto db = clockwiseDistance(anchor, b.profile);
-              if (da != db) return da < db;
-              return a.node < b.node;
-            });
-  const std::size_t succCount = (budget + 1) / 2;
-  const std::size_t predCount = budget - succCount;
-  // [0, succCount) stays; move the predecessor tail up behind it.
-  for (std::size_t i = 0; i < predCount; ++i)
-    pool[succCount + i] = pool[pool.size() - predCount + i];
-  pool.resize(budget);
-}
-
-}  // namespace
-
 Vicinity::Vicinity(sim::Network& network, net::Transport& transport,
                    sim::MessageRouter& router, const Cyclon& cyclon,
                    Params params, std::uint64_t seed, ProfileFn profile)
@@ -63,8 +16,6 @@ Vicinity::Vicinity(sim::Network& network, net::Transport& transport,
       profile_(std::move(profile)) {
   VS07_EXPECT(params_.viewLength > 0);
   VS07_EXPECT(params_.exchangeLength > 0);
-  if (!profile_)
-    profile_ = [&network](NodeId n) { return network.seqId(n); };
   router.route(
       net::MessageKind::VicinityRequest,
       [this](NodeId to, const net::Message& m) { handleRequest(to, m); },
@@ -77,7 +28,7 @@ Vicinity::Vicinity(sim::Network& network, net::Transport& transport,
 }
 
 PeerDescriptor Vicinity::selfDescriptor(NodeId node) const {
-  return PeerDescriptor{node, 0, profile_(node)};
+  return PeerDescriptor{node, 0, profileOf(node)};
 }
 
 void Vicinity::onReserve(NodeId count) {
@@ -135,7 +86,7 @@ const View& Vicinity::view(NodeId node) const {
 
 RingNeighbors Vicinity::ringNeighbors(NodeId node) const {
   const View& v = view(node);
-  const SequenceId self = profile_(node);
+  const SequenceId self = profileOf(node);
   RingNeighbors result;
   std::uint64_t bestSucc = 0;
   std::uint64_t bestPred = 0;
@@ -158,7 +109,7 @@ std::vector<NodeId> Vicinity::ringBand(NodeId node,
                                        std::uint32_t width) const {
   VS07_EXPECT(width >= 1);
   const View& v = view(node);
-  const SequenceId self = profile_(node);
+  const SequenceId self = profileOf(node);
 
   std::vector<PeerDescriptor> sorted(v.entries().begin(), v.entries().end());
   std::sort(sorted.begin(), sorted.end(),
@@ -183,12 +134,11 @@ std::vector<NodeId> Vicinity::ringBand(NodeId node,
 }
 
 void Vicinity::step(NodeId self) {
-  stepImpl(self, rng_, transport_, requestScratch_, mergePoolScratch_);
+  stepImpl(self, rng_, transport_, requestScratch_, band_);
 }
 
 void Vicinity::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
-                        net::Message& requestScratch,
-                        std::vector<PeerDescriptor>& poolScratch) {
+                        net::Message& requestScratch, RingBand& band) {
   View& v = views_[self];
   ++stepCount_[self];
 
@@ -222,47 +172,47 @@ void Vicinity::stepImpl(NodeId self, Rng& rng, net::Transport& transport,
   request.kind = net::MessageKind::VicinityRequest;
   request.channel = params_.channel;
   request.from = self;
-  offerInto(self, q, profile_(q), poolScratch, request.entries);
+  offerInto(self, q, profileOf(q), band, request.entries);
   pendingTarget_[self] = q;
   transport.send(q, std::move(request));
 }
 
 void Vicinity::offerInto(NodeId self, NodeId target,
-                         SequenceId targetProfile,
-                         std::vector<PeerDescriptor>& pool,
+                         SequenceId targetProfile, RingBand& band,
                          std::vector<PeerDescriptor>& out) const {
-  // Candidates are pooled in `pool` (a long-lived scratch) and only the
+  // Candidates are pooled in `band` (long-lived scratch) and only the
   // trimmed band is copied into `out`. Message buffers circulate through
   // the sharded engine's outbox slots, so their high-water capacity is a
   // per-slot memory cost at scale: keeping the pre-trim pool (both view
   // lengths' worth of candidates) out of the message caps every slot at
   // exchangeLength entries instead of ~4x that.
-  pool.clear();
-  for (const auto& e : views_[self].entries())
-    if (e.node != target) poolInsert(pool, e);
-  for (const auto& e : cyclon_.view(self).entries()) {
+  const View& own = views_[self];
+  const View& randomLayer = cyclon_.view(self);
+  band.reset(own.size() + randomLayer.size());
+  for (const auto& e : own.entries())
+    if (e.node != target) band.add(e);
+  for (const auto& e : randomLayer.entries()) {
     if (e.node == target) continue;
     // Translate the random-layer descriptor into this ring's profile
     // space (identity for the default ring; salted for multi-ring).
-    poolInsert(pool, PeerDescriptor{e.node, e.age, profile_(e.node)});
+    band.add(PeerDescriptor{e.node, e.age, profileOf(e.node)});
   }
-  selectRingBand(targetProfile, pool, params_.exchangeLength - 1);
-  out.assign(pool.begin(), pool.end());
+  band.select(targetProfile, params_.exchangeLength - 1);
+  out.assign(band.entries().begin(), band.entries().end());
   // Our own fresh descriptor always travels along: the target must learn
   // about us to ever point a d-link our way.
   out.push_back(selfDescriptor(self));
 }
 
 void Vicinity::handleRequest(NodeId self, const net::Message& msg) {
-  handleRequestImpl(self, msg, transport_, replyScratch_, mergePoolScratch_);
+  handleRequestImpl(self, msg, transport_, replyScratch_, band_);
 }
 
 void Vicinity::handleRequestImpl(NodeId self, const net::Message& msg,
                                  net::Transport& transport,
-                                 net::Message& replyScratch,
-                                 std::vector<PeerDescriptor>& poolScratch) {
+                                 net::Message& replyScratch, RingBand& band) {
   // The initiator's descriptor is always in the offer (see offerInto).
-  SequenceId initiatorProfile = profile_(msg.from);
+  SequenceId initiatorProfile = profileOf(msg.from);
   for (const auto& e : msg.entries)
     if (e.node == msg.from) {
       initiatorProfile = e.profile;
@@ -274,27 +224,29 @@ void Vicinity::handleRequestImpl(NodeId self, const net::Message& msg,
   reply.kind = net::MessageKind::VicinityReply;
   reply.channel = params_.channel;
   reply.from = self;
-  offerInto(self, msg.from, initiatorProfile, poolScratch, reply.entries);
+  offerInto(self, msg.from, initiatorProfile, band, reply.entries);
   transport.send(msg.from, std::move(reply));
 
-  mergeByProximity(self, msg.entries, poolScratch);
+  mergeByProximity(self, msg.entries, band);
 }
 
 void Vicinity::handleReply(NodeId self, const net::Message& msg) {
-  handleReplyImpl(self, msg, mergePoolScratch_);
+  handleReplyImpl(self, msg, band_);
 }
 
 void Vicinity::handleReplyImpl(NodeId self, const net::Message& msg,
-                               std::vector<PeerDescriptor>& poolScratch) {
+                               RingBand& band) {
   pendingTarget_[self] = kNoNode;  // partner is alive
-  mergeByProximity(self, msg.entries, poolScratch);
+  mergeByProximity(self, msg.entries, band);
 }
 
-void Vicinity::onShardedAttach(std::uint32_t /*shardCount*/) {}
+void Vicinity::onShardedAttach(std::uint32_t shardCount) {
+  shardBands_.resize(shardCount);
+}
 
 void Vicinity::shardStep(NodeId self, sim::ShardContext& ctx) {
   stepImpl(self, ctx.rng(), ctx.transport(), ctx.messageScratch(),
-           ctx.poolScratch());
+           shardBands_[ctx.shard()]);
 }
 
 bool Vicinity::shardDeliver(NodeId to, const net::Message& msg,
@@ -303,10 +255,10 @@ bool Vicinity::shardDeliver(NodeId to, const net::Message& msg,
   switch (msg.kind) {
     case net::MessageKind::VicinityRequest:
       handleRequestImpl(to, msg, ctx.transport(), ctx.messageScratch(),
-                        ctx.poolScratch());
+                        shardBands_[ctx.shard()]);
       return true;
     case net::MessageKind::VicinityReply:
-      handleReplyImpl(to, msg, ctx.poolScratch());
+      handleReplyImpl(to, msg, shardBands_[ctx.shard()]);
       return true;
     default:
       return false;
@@ -315,18 +267,15 @@ bool Vicinity::shardDeliver(NodeId to, const net::Message& msg,
 
 void Vicinity::mergeByProximity(NodeId self,
                                 std::span<const PeerDescriptor> incoming,
-                                std::vector<PeerDescriptor>& poolScratch) {
+                                RingBand& band) {
   View& v = views_[self];
-  std::vector<PeerDescriptor>& pool = poolScratch;
-  pool.clear();
-  for (const auto& e : v.entries()) poolInsert(pool, e);
+  band.reset(v.size() + incoming.size());
+  for (const auto& e : v.entries()) band.add(e);
   for (const auto& e : incoming)
-    if (e.node != self && !isBanned(self, e.node)) poolInsert(pool, e);
+    if (e.node != self && !isBanned(self, e.node)) band.add(e);
 
-  selectRingBand(profile_(self), pool, params_.viewLength);
-
-  v.clear();
-  for (const auto& e : pool) v.add(e);
+  band.select(profileOf(self), params_.viewLength);
+  v.assign(band.entries());
 }
 
 }  // namespace vs07::gossip

@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "gossip/cyclon.hpp"
+#include "gossip/ring_band.hpp"
 #include "gossip/view.hpp"
 #include "net/transport.hpp"
 #include "sim/engine.hpp"
@@ -103,7 +104,9 @@ class Vicinity final : public sim::CycleProtocol,
   std::vector<NodeId> ringBand(NodeId node, std::uint32_t width) const;
 
   /// Ring position of a node under this instance's profile function.
-  SequenceId profileOf(NodeId node) const { return profile_(node); }
+  SequenceId profileOf(NodeId node) const {
+    return profile_ ? profile_(node) : network_.seqId(node);
+  }
 
   const Params& params() const noexcept { return params_; }
 
@@ -114,33 +117,29 @@ class Vicinity final : public sim::CycleProtocol,
   /// Step/handler bodies parameterized on RNG and scratch: the sequential
   /// paths pass the instance members (bit-for-bit the historical
   /// behaviour), the sharded paths pass the worker's ShardContext
-  /// resources.
+  /// resources and the shard's RingBand.
   void stepImpl(NodeId self, Rng& rng, net::Transport& transport,
-                net::Message& requestScratch,
-                std::vector<PeerDescriptor>& poolScratch);
+                net::Message& requestScratch, RingBand& band);
   void handleRequestImpl(NodeId self, const net::Message& msg,
                          net::Transport& transport,
-                         net::Message& replyScratch,
-                         std::vector<PeerDescriptor>& poolScratch);
-  void handleReplyImpl(NodeId self, const net::Message& msg,
-                       std::vector<PeerDescriptor>& poolScratch);
+                         net::Message& replyScratch, RingBand& band);
+  void handleReplyImpl(NodeId self, const net::Message& msg, RingBand& band);
 
   /// Candidates = own vicinity view ∪ own cyclon view ∪ self descriptor,
   /// deduplicated, excluding `target`; the best `exchangeLength` for the
   /// *target's* profile fill `out` (best-for-target selection). The
-  /// pre-trim pool is assembled in `pool` (long-lived scratch) so `out` —
+  /// pre-trim pool is assembled in `band` (long-lived scratch) so `out` —
   /// typically a message's entries, whose capacity is retained by every
   /// outbox slot it circulates through — never holds more than the
   /// trimmed offer. Both are cleared first; steady state allocates
   /// nothing.
   void offerInto(NodeId self, NodeId target, SequenceId targetProfile,
-                 std::vector<PeerDescriptor>& pool,
-                 std::vector<PeerDescriptor>& out) const;
+                 RingBand& band, std::vector<PeerDescriptor>& out) const;
 
-  /// Keeps the `viewLength` closest candidates to self among view ∪
-  /// incoming, assembling them in `poolScratch`.
+  /// Keeps the ring band of `viewLength` around self among view ∪
+  /// incoming, assembling it in `band`.
   void mergeByProximity(NodeId self, std::span<const PeerDescriptor> incoming,
-                        std::vector<PeerDescriptor>& poolScratch);
+                        RingBand& band);
 
   PeerDescriptor selfDescriptor(NodeId node) const;
 
@@ -149,6 +148,8 @@ class Vicinity final : public sim::CycleProtocol,
   const Cyclon& cyclon_;
   Params params_;
   Rng rng_;
+  /// Empty for the default ring (Network::seqId, read without the
+  /// std::function call on the exchange hot path).
   ProfileFn profile_;
   std::vector<View> views_;
   /// Target of each node's outstanding request; a target that never
@@ -167,13 +168,16 @@ class Vicinity final : public sim::CycleProtocol,
   std::vector<std::uint64_t> stepCount_;
 
   /// Exchange scratch (one set per ring instance, not per exchange):
-  /// request/reply messages and the proximity-merge candidate pool are
-  /// reset and refilled each exchange, recycling their buffers. Safe
-  /// under the single-threaded exchange chains: the merge pool is never
-  /// live across a nested send of the same instance.
+  /// request/reply messages and the candidate pool are reset and
+  /// refilled each exchange, recycling their buffers. Safe under the
+  /// single-threaded exchange chains: the pool is never live across a
+  /// nested send of the same instance.
   net::Message requestScratch_;
   net::Message replyScratch_;
-  std::vector<PeerDescriptor> mergePoolScratch_;
+  RingBand band_;
+  /// The sharded paths' candidate pools, one per shard (a shard's
+  /// callbacks run on one worker at a time).
+  std::vector<RingBand> shardBands_;
 };
 
 }  // namespace vs07::gossip

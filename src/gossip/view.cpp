@@ -41,6 +41,16 @@ void View::add(const PeerDescriptor& entry) {
   data()[size_++] = entry;
 }
 
+void View::assign(std::span<const PeerDescriptor> entries) {
+  VS07_EXPECT(entries.size() <= capacity_);
+  PeerDescriptor* e = data();
+  for (const auto& entry : entries) {
+    VS07_EXPECT(entry.node != owner_);
+    *e++ = entry;
+  }
+  size_ = static_cast<std::uint32_t>(entries.size());
+}
+
 void View::removeAt(std::size_t i) {
   VS07_EXPECT(i < size_);
   PeerDescriptor* e = data();

@@ -86,6 +86,12 @@ class View {
   /// Adds an entry. Requires: not full, not self, not a duplicate.
   void add(const PeerDescriptor& entry);
 
+  /// Replaces the contents with `entries`, in order. Requires: fits the
+  /// capacity, no self. Distinctness is the caller's contract (checked
+  /// only by add()): the bulk path is for entries that come out of a
+  /// deduplicating selection such as RingBand.
+  void assign(std::span<const PeerDescriptor> entries);
+
   /// Removes the entry at `i` (order not preserved — O(1)).
   void removeAt(std::size_t i);
 

@@ -37,6 +37,17 @@ sockaddr_in toSockaddr(const PeerAddress& addr) {
   return out;
 }
 
+/// True when every node id a gossip payload names (its sender and each
+/// view entry) is inside the population. The protocols index per-node
+/// state by these ids (Network::seqId throws past the end), so one frame
+/// naming an unknown id must not reach them.
+bool namesKnownNodesOnly(const net::Message& msg, std::uint32_t population) {
+  if (msg.from >= population) return false;
+  for (const auto& entry : msg.entries)
+    if (entry.node >= population) return false;
+  return true;
+}
+
 bool wouldBlock(int error) {
   return error == EAGAIN || error == EWOULDBLOCK || error == ENOBUFS;
 }
@@ -395,7 +406,8 @@ void UdpTransport::handleFrame(std::span<const std::uint8_t> bytes,
     if (entry.node < peers_.nodeCount()) peers_.learn(entry.node, entry.addr);
 
   if (header.kind == FrameKind::kGossip) {
-    if (!frame.hasPayload) {
+    if (!frame.hasPayload ||
+        !namesKnownNodesOnly(recvMsg_, peers_.nodeCount())) {
       ++droppedMalformed_;
       return;
     }

@@ -53,7 +53,7 @@ class ShardContext {
   /// Id-list scratch (reply bookkeeping and the like).
   std::vector<NodeId>& idScratch() noexcept { return idScratch_; }
 
-  /// Descriptor-pool scratch (proximity merges).
+  /// Descriptor-list scratch (CYCLON's shuffle samples).
   std::vector<net::PeerDescriptor>& poolScratch() noexcept {
     return poolScratch_;
   }

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "gossip/cyclon.hpp"
+#include "gossip/vicinity.hpp"
 #include "net/delivery_sink.hpp"
 #include "runtime/bootstrap.hpp"
 #include "sim/network.hpp"
@@ -197,6 +198,70 @@ TEST(UdpTransport, MalformedDatagramIsCountedNotFatal) {
   a->transport.send(1, dataMessage(0, 1));
   ASSERT_TRUE(pumpUntil(*a, *b, [&] { return !b->sink.received.empty(); }));
   EXPECT_EQ(b->transport.droppedMalformed(), 1u);
+}
+
+// Regression: a gossip payload naming a node id outside the population,
+// as its sender or in a view entry, used to reach the protocols. Their
+// per-node lookups (Network::seqId) throw on such an id, the exception
+// escaped service(), and one hostile frame ended vs07_node. The transport
+// now drops those frames as malformed and keeps serving.
+TEST(UdpTransport, GossipNamingUnknownNodeIsDroppedNotFatal) {
+  struct Node {
+    Node()
+        : network(2, sim::populationSeed(7)),
+          router(network),
+          peers(2),
+          transport({.selfId = 1, .port = 0}, peers, router),
+          cyclon(network, transport, router,
+                 {.viewLength = 4, .shuffleLength = 2}, 7),
+          vicinity(network, transport, router, cyclon,
+                   {.viewLength = 4, .exchangeLength = 2}, 8) {}
+
+    sim::Network network;
+    sim::MessageRouter router;
+    PeerTable peers;
+    UdpTransport transport;
+    gossip::Cyclon cyclon;
+    gossip::Vicinity vicinity;
+  };
+
+  std::unique_ptr<Node> node;
+  std::unique_ptr<Endpoint> attacker;
+  try {
+    node = std::make_unique<Node>();
+    attacker = std::make_unique<Endpoint>(0, 2);
+  } catch (const std::runtime_error&) {
+    GTEST_SKIP() << "loopback sockets unavailable here";
+  }
+  attacker->peers.learn(1, {0x7F000001, node->transport.listenPort()});
+  const SequenceId seq0 = node->network.seqId(0);
+
+  const auto request = [](net::MessageKind kind, NodeId from,
+                          std::vector<net::PeerDescriptor> entries) {
+    net::Message m;
+    m.kind = kind;
+    m.from = from;
+    m.entries = std::move(entries);
+    return m;
+  };
+  // Unknown sender: the VICINITY request handler reads its profile.
+  attacker->transport.send(
+      1, request(net::MessageKind::VicinityRequest, 7, {{0, 0, seq0}}));
+  // Unknown entry: CYCLON would merge it, and the next VICINITY offer
+  // would read its profile.
+  attacker->transport.send(
+      1, request(net::MessageKind::CyclonRequest, 0, {{9, 0, 1}}));
+  // A well-formed request afterwards is served as usual.
+  attacker->transport.send(
+      1, request(net::MessageKind::VicinityRequest, 0, {{0, 0, seq0}}));
+
+  for (int i = 0; i < 500 && !node->vicinity.view(1).contains(0); ++i) {
+    ASSERT_NO_THROW(node->transport.pump(2));
+    attacker->transport.pump(0);
+  }
+  EXPECT_TRUE(node->vicinity.view(1).contains(0));
+  EXPECT_EQ(node->transport.droppedMalformed(), 2u);
+  EXPECT_FALSE(node->cyclon.view(1).contains(9));
 }
 
 // The full ladder over real sockets: a seed and a joiner, each with its

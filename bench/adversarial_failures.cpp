@@ -17,7 +17,6 @@
 #include <array>
 #include <cstdio>
 
-#include "analysis/experiment.hpp"
 #include "analysis/scenario.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"

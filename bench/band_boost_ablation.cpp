@@ -13,7 +13,6 @@
 //    churn with and without the boost.
 #include <cstdio>
 
-#include "analysis/experiment.hpp"
 #include "analysis/scenario.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
@@ -37,8 +36,8 @@ void bandMatrix(const bench::Scale& scale, analysis::ParallelSweep& sweep,
     for (const std::uint32_t fanout : {2u, 4u, 8u, 12u}) {
       // The hybrid rule over the band snapshot (RingCast semantics).
       const auto point = sweep.measureEffectiveness(
-          snapshot, Strategy::kRingCast, fanout, scale.runs,
-          scale.seed + width + fanout);
+          snapshot, cast::selectorFor(Strategy::kRingCast), fanout,
+          scale.runs, scale.seed + width + fanout);
       row.push_back(fmtLog(point.avgMissPercent));
     }
     table.addRow(std::move(row));
@@ -114,6 +113,5 @@ int main(int argc, char** argv) {
   if (!args) return 0;
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/1'000,
                                          /*quickRuns=*/25);
-  return run(scale, bench::argOrExit(
-                        [&] { return args->getDouble("churn", 0.005); }));
+  return run(scale, bench::churnRateOrExit(*args, 0.005));
 }

@@ -5,22 +5,23 @@
 // and the machine-readable BENCH_*.json record every bench emits when
 // --json is given.
 //
-// Scale defaults: the paper-figure benches (fig06..fig13) default to the
-// paper's full scale (10k nodes, 100 runs/point) now that the sweeps run
-// in parallel; --quick drops to each bench's reduced smoke scale. The
-// ablation/stress benches default to their quick scale; --paper raises
-// them. Explicit --nodes/--runs always win.
+// Scale defaults: the paper figures (paper_figures --figure 6..13)
+// default to the paper's full scale (10k nodes, 100 runs/point) now that
+// the sweeps run in parallel; --quick drops to each figure's reduced
+// smoke scale. The ablation/stress benches default to their quick
+// scale; --paper raises them. Explicit --nodes/--runs always win.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "analysis/parallel_sweep.hpp"
 #include "analysis/report_json.hpp"
 #include "analysis/scenario.hpp"
@@ -98,9 +99,21 @@ inline CliParser makeParser(const std::string& description) {
   return parser;
 }
 
+/// getPositiveUint narrowed to 32 bits: a value like 2^32 would
+/// otherwise truncate to 0 and slip past the zero rejection.
+inline std::uint32_t getPositiveUint32(const CliArgs& args,
+                                       const std::string& name,
+                                       std::uint32_t fallback) {
+  const std::uint64_t value = args.getPositiveUint(name, fallback);
+  if (value > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("--" + name + " must be below 2^32");
+  return static_cast<std::uint32_t>(value);
+}
+
 /// Resolves the scale: explicit flags beat --paper/--quick beat the
-/// bench's default. Malformed values (--threads 0, non-numeric numbers)
-/// print the parse error and exit 2, exactly like unknown options.
+/// bench's default. Malformed values (--threads/--nodes/--runs 0,
+/// non-numeric numbers) print the parse error and exit 2, exactly like
+/// unknown options.
 inline Scale resolveScale(const CliArgs& args, std::uint32_t quickNodes,
                           std::uint32_t quickRuns,
                           DefaultScale defaultScale = DefaultScale::kQuick) {
@@ -116,10 +129,8 @@ inline Scale resolveScale(const CliArgs& args, std::uint32_t quickNodes,
         (defaultScale == DefaultScale::kPaper && !scale.quick);
     const std::uint32_t defaultNodes = usePaper ? 10'000 : quickNodes;
     const std::uint32_t defaultRuns = usePaper ? 100 : quickRuns;
-    scale.nodes =
-        static_cast<std::uint32_t>(args.getUint("nodes", defaultNodes));
-    scale.runs =
-        static_cast<std::uint32_t>(args.getUint("runs", defaultRuns));
+    scale.nodes = getPositiveUint32(args, "nodes", defaultNodes);
+    scale.runs = getPositiveUint32(args, "runs", defaultRuns);
     scale.seed = args.getUint("seed", 42);
     const std::uint64_t threads =
         args.getPositiveUint("threads", TaskPool::defaultThreads());
@@ -157,6 +168,20 @@ auto argOrExit(Fn&& fn) -> decltype(fn()) {
     std::fprintf(stderr, "%s\n", error.what());
     std::exit(2);
   }
+}
+
+/// Reads --churn: a per-cycle replacement rate, finite and in (0, 1).
+/// Anything else prints the error and exits 2 — a rate of 0 would churn
+/// nobody and run a churn warm-up to its cycle cap.
+inline double churnRateOrExit(const CliArgs& args, double fallback) {
+  const double rate =
+      argOrExit([&] { return args.getDouble("churn", fallback); });
+  if (!(rate > 0.0 && rate < 1.0)) {
+    std::fprintf(stderr, "--churn must be a rate in (0, 1) (got %s)\n",
+                 args.get("churn").value_or("?").c_str());
+    std::exit(2);
+  }
+  return rate;
 }
 
 /// Prints the bench banner: what figure this regenerates and at what scale.

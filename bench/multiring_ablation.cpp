@@ -8,7 +8,6 @@
 // network all variants are already complete (single ring suffices).
 #include <cstdio>
 
-#include "analysis/experiment.hpp"
 #include "analysis/scenario.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
@@ -54,8 +53,8 @@ int run(const bench::Scale& scale, std::uint32_t fanout) {
         first = false;
       }
       const auto point = sweep.measureEffectiveness(
-          snapshot, Strategy::kMultiRing, fanout, scale.runs,
-          scale.seed + rings + 7);
+          snapshot, cast::selectorFor(Strategy::kMultiRing), fanout,
+          scale.runs, scale.seed + rings + 7);
       row.push_back(fmtLog(point.avgMissPercent));
     }
     table.addRow(std::move(row));

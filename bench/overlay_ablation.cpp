@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <functional>
 
-#include "analysis/experiment.hpp"
 #include "bench_common.hpp"
 #include "cast/snapshot.hpp"
 #include "common/table.hpp"
@@ -68,8 +67,8 @@ int run(const bench::Scale& scale) {
     std::vector<std::string> row{testCase.name, fmt(linksPerNode, 1)};
     // Fail-free flood cost.
     const auto clean = sweep.measureEffectiveness(
-        cast::snapshotGraph(graph), Strategy::kFlood, 1, scale.runs,
-        scale.seed + 1);
+        cast::snapshotGraph(graph), cast::selectorFor(Strategy::kFlood), 1,
+        scale.runs, scale.seed + 1);
     row.push_back(fmt(clean.avgMessagesTotal, 0));
 
     // Kill sweeps: absolute counts (1, 2 nodes) probe the Harary bound;
@@ -97,9 +96,10 @@ int run(const bench::Scale& scale) {
             ++k;
           }
         }
-        const auto point = analysis::measureEffectiveness(
-            cast::snapshotGraph(graph, alive), Strategy::kFlood, 1, 1,
-            killRng());
+        // A local one-thread sweep: the outer one's pool is busy here.
+        const auto point = analysis::ParallelSweep().measureEffectiveness(
+            cast::snapshotGraph(graph, alive),
+            cast::selectorFor(Strategy::kFlood), 1, 1, killRng());
         missPerRep[rep] = point.avgMissPercent;
       });
       double missSum = 0.0;

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "sim/timing.hpp"

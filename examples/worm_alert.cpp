@@ -10,7 +10,7 @@
 //   $ ./worm_alert [--nodes 2000] [--fanout 3]
 #include <cstdio>
 
-#include "analysis/experiment.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "analysis/scenario.hpp"
 #include "common/cli.hpp"
 
@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
       fanout, "dead nodes", "alive", "RandCast avg miss %",
       "RingCast avg miss %");
 
+  analysis::ParallelSweep sweep;
   double cumulativeKill = 0.0;
   for (const double killStep : {0.0, 0.01, 0.02, 0.02, 0.05, 0.10}) {
     if (killStep > 0.0) {
@@ -49,9 +50,9 @@ int main(int argc, char** argv) {
       cumulativeKill += killStep;
     }
     // Freeze the damaged overlay: the worm outpaces view repair.
-    const auto randMiss = analysis::measureEffectiveness(
+    const auto randMiss = sweep.measureEffectiveness(
         scenario, Strategy::kRandCast, fanout, kAlerts, rng());
-    const auto ringMiss = analysis::measureEffectiveness(
+    const auto ringMiss = sweep.measureEffectiveness(
         scenario, Strategy::kRingCast, fanout, kAlerts, rng());
     std::printf("%-12.0f %-10u %-22.4f %-22.4f\n", cumulativeKill * 100.0,
                 scenario.network().aliveCount(), randMiss.avgMissPercent,

@@ -140,6 +140,14 @@ struct CellLayout {
 
 }  // namespace
 
+CountHistogram lifetimeHistogram(const sim::Network& network,
+                                 std::uint64_t nowCycle) {
+  CountHistogram histogram;
+  for (const NodeId id : network.aliveIds())
+    histogram.add(network.lifetime(id, nowCycle));
+  return histogram;
+}
+
 ParallelSweep::ParallelSweep(SweepOptions options) : options_(options) {
   VS07_EXPECT(options_.runsPerCell > 0);
   pool_ = std::make_unique<TaskPool>(options_.threads);
@@ -194,33 +202,18 @@ EffectivenessPoint ParallelSweep::measureEffectiveness(
 }
 
 EffectivenessPoint ParallelSweep::measureEffectiveness(
-    const cast::OverlaySnapshot& overlay, cast::Strategy strategy,
-    std::uint32_t fanout, std::uint32_t runs, std::uint64_t seed) {
-  return measureEffectiveness(overlay, cast::selectorFor(strategy), fanout,
-                              runs, seed);
-}
-
-EffectivenessPoint ParallelSweep::measureEffectiveness(
     const Scenario& scenario, cast::Strategy strategy, std::uint32_t fanout,
     std::uint32_t runs, std::uint64_t seed) {
-  return measureEffectiveness(scenario.snapshot(strategy), strategy, fanout,
-                              runs, seed);
-}
-
-std::vector<EffectivenessPoint> ParallelSweep::sweepEffectiveness(
-    const cast::OverlaySnapshot& overlay, cast::Strategy strategy,
-    const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
-    std::uint64_t seed) {
-  return sweepEffectiveness(overlay, cast::selectorFor(strategy), fanouts,
-                            runs, seed);
+  return measureEffectiveness(scenario.snapshot(strategy),
+                              cast::selectorFor(strategy), fanout, runs, seed);
 }
 
 std::vector<EffectivenessPoint> ParallelSweep::sweepEffectiveness(
     const Scenario& scenario, cast::Strategy strategy,
     const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
     std::uint64_t seed) {
-  return sweepEffectiveness(scenario.snapshot(strategy), strategy, fanouts,
-                            runs, seed);
+  return sweepEffectiveness(scenario.snapshot(strategy),
+                            cast::selectorFor(strategy), fanouts, runs, seed);
 }
 
 ProgressStats ParallelSweep::measureProgress(
@@ -264,20 +257,13 @@ ProgressStats ParallelSweep::measureProgress(
   return stats;
 }
 
-ProgressStats ParallelSweep::measureProgress(
-    const cast::OverlaySnapshot& overlay, cast::Strategy strategy,
-    std::uint32_t fanout, std::uint32_t runs, std::uint64_t seed) {
-  return measureProgress(overlay, cast::selectorFor(strategy), fanout, runs,
-                         seed);
-}
-
 ProgressStats ParallelSweep::measureProgress(const Scenario& scenario,
                                              cast::Strategy strategy,
                                              std::uint32_t fanout,
                                              std::uint32_t runs,
                                              std::uint64_t seed) {
-  return measureProgress(scenario.snapshot(strategy), strategy, fanout, runs,
-                         seed);
+  return measureProgress(scenario.snapshot(strategy),
+                         cast::selectorFor(strategy), fanout, runs, seed);
 }
 
 MissLifetimeStudy ParallelSweep::measureMissLifetimes(
@@ -317,19 +303,11 @@ MissLifetimeStudy ParallelSweep::measureMissLifetimes(
 }
 
 MissLifetimeStudy ParallelSweep::measureMissLifetimes(
-    const cast::OverlaySnapshot& overlay, cast::Strategy strategy,
-    const sim::Network& network, std::uint64_t nowCycle, std::uint32_t fanout,
-    std::uint32_t runs, std::uint64_t seed) {
-  return measureMissLifetimes(overlay, cast::selectorFor(strategy), network,
-                              nowCycle, fanout, runs, seed);
-}
-
-MissLifetimeStudy ParallelSweep::measureMissLifetimes(
     const Scenario& scenario, cast::Strategy strategy, std::uint32_t fanout,
     std::uint32_t runs, std::uint64_t seed) {
-  return measureMissLifetimes(scenario.snapshot(strategy), strategy,
-                              scenario.network(), scenario.engine().cycle(),
-                              fanout, runs, seed);
+  return measureMissLifetimes(scenario.snapshot(strategy),
+                              cast::selectorFor(strategy), scenario.network(),
+                              scenario.engine().cycle(), fanout, runs, seed);
 }
 
 }  // namespace vs07::analysis

@@ -1,6 +1,16 @@
-// ParallelSweep — the cell-based parallel experiment runner behind the
-// figure benches (and, at one thread, behind the sequential free
-// functions of analysis/experiment.hpp).
+// ParallelSweep — the experiment runner behind the figure benches, the
+// ablations, the examples and the integration tests: fanout sweeps of
+// dissemination effectiveness (Figs. 6/9/11), per-hop progress
+// aggregation (Figs. 7/10), message-overhead accounting (Fig. 8), and
+// lifetime bookkeeping for the churn study (Figs. 12/13).
+//
+// Each runner has two shapes:
+//   * (Scenario, Strategy, ...)      — snapshots the strategy's overlay
+//     itself (and, for miss lifetimes, reads the scenario's network and
+//     current engine cycle);
+//   * (OverlaySnapshot, TargetSelector, ...) — the raw engine, for
+//     hand-built overlays (§3 graphs) and non-strategy selectors (flood,
+//     band boost). Pass cast::selectorFor(strategy) for a strategy.
 //
 // A sweep is split into independent (fanout, replication-chunk) cells of
 // at most SweepOptions::runsPerCell disseminations each. Every cell seeds
@@ -10,29 +20,74 @@
 // the partials are merged in canonical (fanout, chunk) order. Two
 // consequences the determinism tests pin down:
 //
-//   * results are bit-identical for any thread count, including 1: the
-//     cell decomposition, every cell's RNG stream, and the merge order
-//     are all independent of how cells are scheduled onto threads;
+//   * results are bit-identical for any thread count, including the
+//     default of 1: the cell decomposition, every cell's RNG stream, and
+//     the merge order are all independent of how cells are scheduled;
 //   * a point's value is independent of the rest of the sweep:
 //     sweepEffectiveness(..., {2, 4, 6}, ...)[1] equals the standalone
 //     measureEffectiveness(..., 4, ...) at the same seed, because cell
 //     seeds depend on the fanout value, not its position.
-//
-// Note the canonical result differs numerically from the pre-parallel
-// sequential runner (one RNG walked through all runs); it is the cell
-// decomposition that is canonical now, at every thread count.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "analysis/experiment.hpp"
+#include "cast/disseminator.hpp"
+#include "cast/selector.hpp"
+#include "cast/snapshot.hpp"
+#include "cast/strategy.hpp"
+#include "common/histogram.hpp"
 #include "common/task_pool.hpp"
+#include "sim/network.hpp"
 
 namespace vs07::analysis {
 
-/// Knobs of the parallel runner.
+class Scenario;
+
+/// Aggregate outcome of `runs` disseminations at one fanout.
+struct EffectivenessPoint {
+  std::uint32_t fanout = 0;
+  std::uint32_t runs = 0;
+  /// Mean miss ratio (percent) — Fig. 6(a)/9-left/11-left bars.
+  double avgMissPercent = 0.0;
+  /// Percentage of runs reaching every alive node — Fig. 6(b)/9-right/
+  /// 11-right bars.
+  double completePercent = 0.0;
+  /// Mean message-overhead split (Fig. 8 stacks).
+  double avgMessagesTotal = 0.0;
+  double avgVirgin = 0.0;
+  double avgRedundant = 0.0;
+  double avgToDead = 0.0;
+  /// Mean hop at which the last notified node was reached.
+  double avgLastHop = 0.0;
+  /// All misses summed over runs (numerator for lifetime studies).
+  std::uint64_t totalMisses = 0;
+};
+
+/// Per-hop dissemination progress aggregated over runs (Figs. 7/10):
+/// for each hop, the mean/min/max percentage of nodes not yet reached.
+struct ProgressStats {
+  std::uint32_t fanout = 0;
+  std::uint32_t runs = 0;
+  std::vector<double> meanPctRemaining;  ///< index = hop
+  std::vector<double> minPctRemaining;
+  std::vector<double> maxPctRemaining;
+};
+
+/// Runs `runs` disseminations and histograms the lifetimes of the nodes
+/// that were *not* notified — Fig. 13. Also returns the effectiveness
+/// aggregate so callers get Fig. 11's numbers from the same runs.
+struct MissLifetimeStudy {
+  EffectivenessPoint effectiveness;
+  CountHistogram missedLifetimes;
+};
+
+/// Lifetime (in cycles) of every alive node at `nowCycle` — Fig. 12.
+CountHistogram lifetimeHistogram(const sim::Network& network,
+                                 std::uint64_t nowCycle);
+
+/// Knobs of the runner.
 struct SweepOptions {
   /// Worker lanes (including the caller); 0 = all hardware cores.
   std::uint32_t threads = 1;
@@ -43,9 +98,10 @@ struct SweepOptions {
   std::uint32_t runsPerCell = 8;
 };
 
-/// Parallel twin of the experiment runners in analysis/experiment.hpp.
-/// One instance owns a TaskPool and can run any number of sweeps; it is
-/// not thread-safe itself (one sweep at a time).
+/// The experiment runner. One instance owns a TaskPool and can run any
+/// number of sweeps; it is not thread-safe itself (one sweep at a time).
+/// Every runner disseminates from uniformly random alive origins and is
+/// deterministic in `seed`; `runs` must be positive.
 class ParallelSweep {
  public:
   ParallelSweep() : ParallelSweep(SweepOptions{}) {}
@@ -64,11 +120,6 @@ class ParallelSweep {
                                           std::uint32_t fanout,
                                           std::uint32_t runs,
                                           std::uint64_t seed);
-  EffectivenessPoint measureEffectiveness(const cast::OverlaySnapshot& overlay,
-                                          cast::Strategy strategy,
-                                          std::uint32_t fanout,
-                                          std::uint32_t runs,
-                                          std::uint64_t seed);
   EffectivenessPoint measureEffectiveness(const Scenario& scenario,
                                           cast::Strategy strategy,
                                           std::uint32_t fanout,
@@ -83,10 +134,6 @@ class ParallelSweep {
       const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
       std::uint64_t seed);
   std::vector<EffectivenessPoint> sweepEffectiveness(
-      const cast::OverlaySnapshot& overlay, cast::Strategy strategy,
-      const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
-      std::uint64_t seed);
-  std::vector<EffectivenessPoint> sweepEffectiveness(
       const Scenario& scenario, cast::Strategy strategy,
       const std::vector<std::uint32_t>& fanouts, std::uint32_t runs,
       std::uint64_t seed);
@@ -97,9 +144,6 @@ class ParallelSweep {
                                 const cast::TargetSelector& selector,
                                 std::uint32_t fanout, std::uint32_t runs,
                                 std::uint64_t seed);
-  ProgressStats measureProgress(const cast::OverlaySnapshot& overlay,
-                                cast::Strategy strategy, std::uint32_t fanout,
-                                std::uint32_t runs, std::uint64_t seed);
   ProgressStats measureProgress(const Scenario& scenario,
                                 cast::Strategy strategy, std::uint32_t fanout,
                                 std::uint32_t runs, std::uint64_t seed);
@@ -113,13 +157,7 @@ class ParallelSweep {
                                          std::uint32_t fanout,
                                          std::uint32_t runs,
                                          std::uint64_t seed);
-  MissLifetimeStudy measureMissLifetimes(const cast::OverlaySnapshot& overlay,
-                                         cast::Strategy strategy,
-                                         const sim::Network& network,
-                                         std::uint64_t nowCycle,
-                                         std::uint32_t fanout,
-                                         std::uint32_t runs,
-                                         std::uint64_t seed);
+  /// `nowCycle` is the scenario's current engine cycle.
   MissLifetimeStudy measureMissLifetimes(const Scenario& scenario,
                                          cast::Strategy strategy,
                                          std::uint32_t fanout,
@@ -127,7 +165,7 @@ class ParallelSweep {
                                          std::uint64_t seed);
 
   /// The pool, for callers with their own embarrassingly-parallel loops
-  /// (e.g. fig12's independent churn experiments).
+  /// (e.g. Fig. 12's independent churn experiments).
   TaskPool& pool() noexcept;
 
  private:

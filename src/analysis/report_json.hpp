@@ -11,7 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/experiment.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"

@@ -1,4 +1,4 @@
-#include "analysis/experiment.hpp"
+#include "analysis/parallel_sweep.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,8 @@ namespace {
 TEST(MeasureEffectiveness, FloodOnRingIsAlwaysComplete) {
   const auto snapshot = cast::snapshotGraph(overlay::makeRing(40));
   const cast::FloodSelector flood;
-  const auto point = measureEffectiveness(snapshot, flood, 1, 20, 1);
+  ParallelSweep sweep;
+  const auto point = sweep.measureEffectiveness(snapshot, flood, 1, 20, 1);
   EXPECT_EQ(point.fanout, 1u);
   EXPECT_EQ(point.runs, 20u);
   EXPECT_EQ(point.avgMissPercent, 0.0);
@@ -28,7 +29,8 @@ TEST(MeasureEffectiveness, AccountsMissesOnPartitionedRing) {
   const auto snapshot =
       cast::snapshotGraph(overlay::makeRing(20), std::move(alive));
   const cast::FloodSelector flood;
-  const auto point = measureEffectiveness(snapshot, flood, 1, 50, 2);
+  ParallelSweep sweep;
+  const auto point = sweep.measureEffectiveness(snapshot, flood, 1, 50, 2);
   EXPECT_GT(point.avgMissPercent, 0.0);
   EXPECT_EQ(point.completePercent, 0.0);
   EXPECT_GT(point.totalMisses, 0u);
@@ -38,8 +40,9 @@ TEST(MeasureEffectiveness, AccountsMissesOnPartitionedRing) {
 TEST(MeasureEffectiveness, DeterministicUnderSeed) {
   const auto snapshot = cast::snapshotGraph(overlay::makeHarary(4, 60));
   const cast::FloodSelector flood;
-  const auto a = measureEffectiveness(snapshot, flood, 2, 10, 7);
-  const auto b = measureEffectiveness(snapshot, flood, 2, 10, 7);
+  ParallelSweep sweep;
+  const auto a = sweep.measureEffectiveness(snapshot, flood, 2, 10, 7);
+  const auto b = sweep.measureEffectiveness(snapshot, flood, 2, 10, 7);
   EXPECT_EQ(a.avgMessagesTotal, b.avgMessagesTotal);
   EXPECT_EQ(a.avgLastHop, b.avgLastHop);
 }
@@ -47,15 +50,17 @@ TEST(MeasureEffectiveness, DeterministicUnderSeed) {
 TEST(MeasureEffectiveness, ZeroRunsRejected) {
   const auto snapshot = cast::snapshotGraph(overlay::makeRing(10));
   const cast::FloodSelector flood;
-  EXPECT_THROW(measureEffectiveness(snapshot, flood, 1, 0, 1),
+  ParallelSweep sweep;
+  EXPECT_THROW(sweep.measureEffectiveness(snapshot, flood, 1, 0, 1),
                ContractViolation);
 }
 
 TEST(SweepEffectiveness, OnePointPerFanout) {
   const auto snapshot = cast::snapshotGraph(overlay::makeRing(20));
   const cast::FloodSelector flood;
+  ParallelSweep sweep;
   const auto points =
-      sweepEffectiveness(snapshot, flood, {1, 2, 3}, 5, 3);
+      sweep.sweepEffectiveness(snapshot, flood, {1, 2, 3}, 5, 3);
   ASSERT_EQ(points.size(), 3u);
   EXPECT_EQ(points[0].fanout, 1u);
   EXPECT_EQ(points[2].fanout, 3u);
@@ -64,7 +69,8 @@ TEST(SweepEffectiveness, OnePointPerFanout) {
 TEST(MeasureProgress, MonotoneMeanSeries) {
   const auto snapshot = cast::snapshotGraph(overlay::makeRing(30));
   const cast::FloodSelector flood;
-  const auto stats = measureProgress(snapshot, flood, 1, 10, 4);
+  ParallelSweep sweep;
+  const auto stats = sweep.measureProgress(snapshot, flood, 1, 10, 4);
   ASSERT_FALSE(stats.meanPctRemaining.empty());
   EXPECT_NEAR(stats.meanPctRemaining[0], 100.0 * 29 / 30, 1e-9);
   for (std::size_t hop = 1; hop < stats.meanPctRemaining.size(); ++hop)
@@ -103,8 +109,9 @@ TEST(MeasureMissLifetimes, NoMissesOnCompleteOverlay) {
   sim::Network network(20, 3);
   const auto snapshot = cast::snapshotGraph(overlay::makeRing(20));
   const cast::FloodSelector flood;
-  const auto study = measureMissLifetimes(snapshot, flood, network,
-                                          /*nowCycle=*/50, 1, 10, 5);
+  ParallelSweep sweep;
+  const auto study = sweep.measureMissLifetimes(snapshot, flood, network,
+                                                /*nowCycle=*/50, 1, 10, 5);
   EXPECT_TRUE(study.missedLifetimes.empty());
   EXPECT_EQ(study.effectiveness.completePercent, 100.0);
 }
@@ -120,8 +127,9 @@ TEST(MeasureMissLifetimes, RecordsLifetimesOfMissedNodes) {
   const auto snapshot =
       cast::snapshotGraph(overlay::makeRing(20), std::move(alive));
   const cast::FloodSelector flood;
-  const auto study = measureMissLifetimes(snapshot, flood, network, 7,
-                                          1, 20, 6);
+  ParallelSweep sweep;
+  const auto study =
+      sweep.measureMissLifetimes(snapshot, flood, network, 7, 1, 20, 6);
   EXPECT_FALSE(study.missedLifetimes.empty());
   // All original nodes have lifetime 7 at cycle 7.
   EXPECT_EQ(study.missedLifetimes.count(7), study.missedLifetimes.total());

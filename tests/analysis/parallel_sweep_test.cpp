@@ -78,13 +78,14 @@ Scenario& scenario() {
 TEST(ParallelSweepDeterminism, EffectivenessBitIdenticalAcrossThreadCounts) {
   for (const Strategy strategy : kAllStrategies) {
     const auto overlay = scenario().snapshot(strategy);
+    const auto& selector = cast::selectorFor(strategy);
     ParallelSweep baseline({.threads = 1});
     const auto expected = baseline.sweepEffectiveness(
-        overlay, strategy, {1, 3, 5}, kRuns, kSeed);
+        overlay, selector, {1, 3, 5}, kRuns, kSeed);
     for (const std::uint32_t threads : {2u, 8u}) {
       ParallelSweep sweep({.threads = threads});
       const auto actual =
-          sweep.sweepEffectiveness(overlay, strategy, {1, 3, 5}, kRuns, kSeed);
+          sweep.sweepEffectiveness(overlay, selector, {1, 3, 5}, kRuns, kSeed);
       ASSERT_EQ(actual.size(), expected.size());
       for (std::size_t i = 0; i < expected.size(); ++i)
         expectIdentical(expected[i], actual[i]);
@@ -95,12 +96,13 @@ TEST(ParallelSweepDeterminism, EffectivenessBitIdenticalAcrossThreadCounts) {
 TEST(ParallelSweepDeterminism, ProgressBitIdenticalAcrossThreadCounts) {
   for (const Strategy strategy : kAllStrategies) {
     const auto overlay = scenario().snapshot(strategy);
+    const auto& selector = cast::selectorFor(strategy);
     ParallelSweep baseline({.threads = 1});
     const auto expected =
-        baseline.measureProgress(overlay, strategy, 3, kRuns, kSeed);
+        baseline.measureProgress(overlay, selector, 3, kRuns, kSeed);
     for (const std::uint32_t threads : {2u, 8u}) {
       ParallelSweep sweep({.threads = threads});
-      expectIdentical(expected, sweep.measureProgress(overlay, strategy, 3,
+      expectIdentical(expected, sweep.measureProgress(overlay, selector, 3,
                                                       kRuns, kSeed));
     }
   }
@@ -109,15 +111,16 @@ TEST(ParallelSweepDeterminism, ProgressBitIdenticalAcrossThreadCounts) {
 TEST(ParallelSweepDeterminism, MissLifetimesBitIdenticalAcrossThreadCounts) {
   for (const Strategy strategy : kAllStrategies) {
     const auto overlay = scenario().snapshot(strategy);
+    const auto& selector = cast::selectorFor(strategy);
     const auto& network = scenario().network();
     const auto now = scenario().engine().cycle();
     ParallelSweep baseline({.threads = 1});
     const auto expected = baseline.measureMissLifetimes(
-        overlay, strategy, network, now, 2, kRuns, kSeed);
+        overlay, selector, network, now, 2, kRuns, kSeed);
     for (const std::uint32_t threads : {2u, 8u}) {
       ParallelSweep sweep({.threads = threads});
       expectIdentical(expected,
-                      sweep.measureMissLifetimes(overlay, strategy, network,
+                      sweep.measureMissLifetimes(overlay, selector, network,
                                                  now, 2, kRuns, kSeed));
     }
   }
@@ -125,11 +128,12 @@ TEST(ParallelSweepDeterminism, MissLifetimesBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelSweepDeterminism, RepeatedRunsAgreeAtSameSeed) {
   const auto overlay = scenario().snapshot(Strategy::kRingCast);
+  const auto& selector = cast::selectorFor(Strategy::kRingCast);
   ParallelSweep sweep({.threads = 4});
-  const auto first = sweep.sweepEffectiveness(
-      overlay, Strategy::kRingCast, {2, 4}, kRuns, kSeed);
-  const auto second = sweep.sweepEffectiveness(
-      overlay, Strategy::kRingCast, {2, 4}, kRuns, kSeed);
+  const auto first =
+      sweep.sweepEffectiveness(overlay, selector, {2, 4}, kRuns, kSeed);
+  const auto second =
+      sweep.sweepEffectiveness(overlay, selector, {2, 4}, kRuns, kSeed);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i)
     expectIdentical(first[i], second[i]);
@@ -140,29 +144,16 @@ TEST(ParallelSweepDeterminism, PointIndependentOfRestOfSweep) {
   // the cell — so the fanout-4 point is the same whether it is measured
   // alone, first, last, or among other fanouts.
   const auto overlay = scenario().snapshot(Strategy::kRandCast);
+  const auto& selector = cast::selectorFor(Strategy::kRandCast);
   ParallelSweep sweep({.threads = 3});
-  const auto alone = sweep.measureEffectiveness(overlay, Strategy::kRandCast,
-                                                4, kRuns, kSeed);
-  const auto inSweep = sweep.sweepEffectiveness(
-      overlay, Strategy::kRandCast, {2, 4, 6}, kRuns, kSeed);
-  const auto reversed = sweep.sweepEffectiveness(
-      overlay, Strategy::kRandCast, {6, 4}, kRuns, kSeed);
+  const auto alone =
+      sweep.measureEffectiveness(overlay, selector, 4, kRuns, kSeed);
+  const auto inSweep =
+      sweep.sweepEffectiveness(overlay, selector, {2, 4, 6}, kRuns, kSeed);
+  const auto reversed =
+      sweep.sweepEffectiveness(overlay, selector, {6, 4}, kRuns, kSeed);
   expectIdentical(alone, inSweep[1]);
   expectIdentical(alone, reversed[1]);
-}
-
-TEST(ParallelSweepDeterminism, SequentialFreeFunctionsMatchParallel) {
-  // The free functions of experiment.hpp are the one-thread face of the
-  // same cell decomposition.
-  const auto overlay = scenario().snapshot(Strategy::kRingCast);
-  ParallelSweep sweep({.threads = 8});
-  expectIdentical(
-      measureEffectiveness(overlay, Strategy::kRingCast, 3, kRuns, kSeed),
-      sweep.measureEffectiveness(overlay, Strategy::kRingCast, 3, kRuns,
-                                 kSeed));
-  expectIdentical(
-      measureProgress(overlay, Strategy::kRingCast, 3, kRuns, kSeed),
-      sweep.measureProgress(overlay, Strategy::kRingCast, 3, kRuns, kSeed));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 
 #include <algorithm>
 
-#include "analysis/experiment.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "analysis/graph_analysis.hpp"
 #include "analysis/scenario.hpp"
 #include "common/expect.hpp"
@@ -91,7 +91,8 @@ TEST(Scenario, MoveKeepsWiringAlive) {
 TEST(Scenario, PaperStaticPresetIsReadyToCast) {
   const auto scenario = Scenario::paperStatic(/*nodes=*/300, /*seed=*/6);
   const auto point =
-      measureEffectiveness(scenario, Strategy::kRingCast, 3, 10, 99);
+      ParallelSweep().measureEffectiveness(scenario, Strategy::kRingCast, 3,
+                                           10, 99);
   EXPECT_EQ(point.avgMissPercent, 0.0);
   EXPECT_EQ(point.completePercent, 100.0);
 }

@@ -5,7 +5,7 @@
 
 #include <algorithm>
 
-#include "analysis/experiment.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "analysis/graph_analysis.hpp"
 #include "analysis/scenario.hpp"
 #include "cast/selector.hpp"
@@ -100,7 +100,8 @@ TEST(SnapshotBand, BandReliabilityDependsOnKeepingRlinks) {
     const auto snapshot = cast::snapshotBand(stack.network(), stack.cyclon(),
                                              stack.vicinity(), width);
     const cast::RingCastSelector selector;  // hybrid rule over the band
-    return analysis::measureEffectiveness(snapshot, selector, fanout, 30, 47)
+    return analysis::ParallelSweep().measureEffectiveness(snapshot, selector,
+                                                         fanout, 30, 47)
         .totalMisses;
   };
 

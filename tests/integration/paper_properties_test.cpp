@@ -3,8 +3,8 @@
 // figures, these tests keep the claims true under CI.
 #include <gtest/gtest.h>
 
-#include "analysis/experiment.hpp"
 #include "analysis/graph_analysis.hpp"
+#include "analysis/parallel_sweep.hpp"
 #include "analysis/scenario.hpp"
 #include "cast/session.hpp"
 #include "cast/strategy.hpp"
@@ -12,7 +12,7 @@
 namespace vs07 {
 namespace {
 
-using analysis::measureEffectiveness;
+using analysis::ParallelSweep;
 using analysis::Scenario;
 using cast::Strategy;
 
@@ -26,9 +26,11 @@ Scenario buildStack(std::uint32_t nodes, std::uint64_t seed,
 TEST(PaperStatic, RingCastCompleteAtEveryFanout) {
   const auto stack = buildStack(800, 11);
   const auto snapshot = stack.snapshot(Strategy::kRingCast);
+  const auto& selector = cast::selectorFor(Strategy::kRingCast);
+  ParallelSweep sweep;
   for (const std::uint32_t fanout : {1u, 2u, 3u, 5u, 10u}) {
-    const auto point = measureEffectiveness(snapshot, Strategy::kRingCast,
-                                            fanout, 20, 100 + fanout);
+    const auto point = sweep.measureEffectiveness(snapshot, selector, fanout,
+                                                  20, 100 + fanout);
     EXPECT_EQ(point.avgMissPercent, 0.0) << "fanout " << fanout;
     EXPECT_EQ(point.completePercent, 100.0) << "fanout " << fanout;
   }
@@ -73,12 +75,11 @@ TEST(PaperWiring, NoMessageIsEverUnroutable) {
 TEST(PaperStatic, RandCastMissesAtLowFanoutAndImprovesWithIt) {
   const auto stack = buildStack(800, 12);
   const auto snapshot = stack.snapshot(Strategy::kRandCast);
-  const auto f2 =
-      measureEffectiveness(snapshot, Strategy::kRandCast, 2, 30, 200);
-  const auto f4 =
-      measureEffectiveness(snapshot, Strategy::kRandCast, 4, 30, 201);
-  const auto f8 =
-      measureEffectiveness(snapshot, Strategy::kRandCast, 8, 30, 202);
+  const auto& selector = cast::selectorFor(Strategy::kRandCast);
+  ParallelSweep sweep;
+  const auto f2 = sweep.measureEffectiveness(snapshot, selector, 2, 30, 200);
+  const auto f4 = sweep.measureEffectiveness(snapshot, selector, 4, 30, 201);
+  const auto f8 = sweep.measureEffectiveness(snapshot, selector, 8, 30, 202);
   EXPECT_GT(f2.avgMissPercent, 2.0);   // paper: ~10% at F=2, 10k nodes
   EXPECT_LT(f4.avgMissPercent, f2.avgMissPercent);
   EXPECT_LT(f8.avgMissPercent, f4.avgMissPercent);
@@ -90,9 +91,11 @@ TEST(PaperStatic, RandCastMissesAtLowFanoutAndImprovesWithIt) {
 TEST(PaperStatic, MessageOverheadProportionalToFanout) {
   const auto stack = buildStack(600, 13);
   const auto snapshot = stack.snapshot(Strategy::kRingCast);
+  const auto& selector = cast::selectorFor(Strategy::kRingCast);
+  ParallelSweep sweep;
   for (const std::uint32_t fanout : {2u, 4u, 8u}) {
-    const auto point = measureEffectiveness(snapshot, Strategy::kRingCast,
-                                            fanout, 10, 300 + fanout);
+    const auto point = sweep.measureEffectiveness(snapshot, selector, fanout,
+                                                  10, 300 + fanout);
     const double n = snapshot.aliveCount();
     EXPECT_NEAR(point.avgMessagesTotal, fanout * n, 0.05 * fanout * n)
         << "fanout " << fanout;
@@ -105,10 +108,11 @@ TEST(PaperStatic, MessageOverheadProportionalToFanout) {
 // RINGCAST reaches the last node while RANDCAST still misses nodes.
 TEST(PaperStatic, ProgressSeriesShapes) {
   const auto stack = buildStack(800, 14);
+  ParallelSweep sweep;
   const auto ring =
-      analysis::measureProgress(stack, Strategy::kRingCast, 3, 15, 400);
+      sweep.measureProgress(stack, Strategy::kRingCast, 3, 15, 400);
   const auto rand =
-      analysis::measureProgress(stack, Strategy::kRandCast, 3, 15, 401);
+      sweep.measureProgress(stack, Strategy::kRandCast, 3, 15, 401);
   // Early spreading is alike: after 3 hops both reach a similar share
   // (the probabilistic component dominates, §7.1).
   ASSERT_GT(ring.meanPctRemaining.size(), 3u);
@@ -125,10 +129,11 @@ TEST(PaperStatic, ProgressSeriesShapes) {
 TEST(PaperCatastrophic, RingCastBeatsRandCastAfterMassFailure) {
   auto stack = buildStack(1500, 15);
   stack.killRandomFraction(0.05);
+  ParallelSweep sweep;
   const auto ring =
-      measureEffectiveness(stack, Strategy::kRingCast, 3, 30, 500);
+      sweep.measureEffectiveness(stack, Strategy::kRingCast, 3, 30, 500);
   const auto rand =
-      measureEffectiveness(stack, Strategy::kRandCast, 3, 30, 501);
+      sweep.measureEffectiveness(stack, Strategy::kRandCast, 3, 30, 501);
   EXPECT_LT(ring.avgMissPercent, rand.avgMissPercent);
   EXPECT_GT(rand.avgMissPercent, 1.0);  // RANDCAST F=3 misses plenty
 }
@@ -137,14 +142,15 @@ TEST(PaperCatastrophic, RingCastBeatsRandCastAfterMassFailure) {
 // RINGCAST keeps the edge even at 10% dead (paper: still an order of
 // magnitude at 10k nodes).
 TEST(PaperCatastrophic, GapNarrowsWithFailureVolumeButPersists) {
+  ParallelSweep sweep;
   double previousRingMiss = -1.0;
   for (const double kill : {0.02, 0.10}) {
     auto stack = buildStack(1500, 16);
     stack.killRandomFraction(kill);
     const auto ring =
-        measureEffectiveness(stack, Strategy::kRingCast, 3, 30, 600);
+        sweep.measureEffectiveness(stack, Strategy::kRingCast, 3, 30, 600);
     const auto rand =
-        measureEffectiveness(stack, Strategy::kRandCast, 3, 30, 601);
+        sweep.measureEffectiveness(stack, Strategy::kRandCast, 3, 30, 601);
     EXPECT_LE(ring.avgMissPercent, rand.avgMissPercent)
         << "kill fraction " << kill;
     EXPECT_GT(ring.avgMissPercent, previousRingMiss);
@@ -158,7 +164,7 @@ TEST(PaperChurn, MissesConcentrateOnYoungNodes) {
   auto stack = buildStack(600, 17);
   const auto cycles = stack.runChurnUntilFullTurnover(0.01, 10'000);
   ASSERT_LT(cycles, 10'000u);  // full turnover reached
-  const auto study = analysis::measureMissLifetimes(
+  const auto study = ParallelSweep().measureMissLifetimes(
       stack, Strategy::kRingCast, 3, 60, 700);
 
   if (study.missedLifetimes.total() == 0)
@@ -183,10 +189,11 @@ TEST(PaperChurn, MissesConcentrateOnYoungNodes) {
 TEST(PaperChurn, LowFanoutFavoursRingCast) {
   auto stack = buildStack(600, 18);
   stack.runChurnUntilFullTurnover(0.01, 10'000);
+  ParallelSweep sweep;
   const auto ring =
-      measureEffectiveness(stack, Strategy::kRingCast, 3, 40, 800);
+      sweep.measureEffectiveness(stack, Strategy::kRingCast, 3, 40, 800);
   const auto rand =
-      measureEffectiveness(stack, Strategy::kRandCast, 3, 40, 801);
+      sweep.measureEffectiveness(stack, Strategy::kRandCast, 3, 40, 801);
   EXPECT_LT(ring.avgMissPercent, rand.avgMissPercent);
 }
 
@@ -196,11 +203,12 @@ TEST(PaperExtensions, SecondRingImprovesFailureResilience) {
   const double killFraction = 0.15;
   std::uint64_t singleMisses = 0;
   std::uint64_t doubleMisses = 0;
+  ParallelSweep sweep;
   for (const std::uint32_t rings : {1u, 2u}) {
     auto stack = buildStack(800, 19, rings);
     stack.killRandomFraction(killFraction);
     const auto point =
-        measureEffectiveness(stack, Strategy::kMultiRing, 2, 40, 900);
+        sweep.measureEffectiveness(stack, Strategy::kMultiRing, 2, 40, 900);
     (rings == 1 ? singleMisses : doubleMisses) = point.totalMisses;
   }
   EXPECT_GT(singleMisses, 0u);

@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   if (!args) return 0;
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/1'000,
                                          /*quickRuns=*/25);
-  return run(scale, bench::argOrExit([&] {
+  return run(scale, argOrExit([&] {
                return args->getDouble("mean-lifetime", 500.0);
              }));
 }

@@ -113,5 +113,6 @@ int main(int argc, char** argv) {
   if (!args) return 0;
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/1'000,
                                          /*quickRuns=*/25);
-  return run(scale, bench::churnRateOrExit(*args, 0.005));
+  return run(scale,
+             argOrExit([&] { return args->getRate("churn", 0.005); }));
 }

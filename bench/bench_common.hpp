@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -99,17 +98,6 @@ inline CliParser makeParser(const std::string& description) {
   return parser;
 }
 
-/// getPositiveUint narrowed to 32 bits: a value like 2^32 would
-/// otherwise truncate to 0 and slip past the zero rejection.
-inline std::uint32_t getPositiveUint32(const CliArgs& args,
-                                       const std::string& name,
-                                       std::uint32_t fallback) {
-  const std::uint64_t value = args.getPositiveUint(name, fallback);
-  if (value > std::numeric_limits<std::uint32_t>::max())
-    throw std::invalid_argument("--" + name + " must be below 2^32");
-  return static_cast<std::uint32_t>(value);
-}
-
 /// Resolves the scale: explicit flags beat --paper/--quick beat the
 /// bench's default. Malformed values (--threads/--nodes/--runs 0,
 /// non-numeric numbers) print the parse error and exit 2, exactly like
@@ -117,7 +105,7 @@ inline std::uint32_t getPositiveUint32(const CliArgs& args,
 inline Scale resolveScale(const CliArgs& args, std::uint32_t quickNodes,
                           std::uint32_t quickRuns,
                           DefaultScale defaultScale = DefaultScale::kQuick) {
-  try {
+  return argOrExit([&] {
     Scale scale;
     scale.paper = args.getBool("paper");
     scale.quick = args.getBool("quick");
@@ -129,8 +117,8 @@ inline Scale resolveScale(const CliArgs& args, std::uint32_t quickNodes,
         (defaultScale == DefaultScale::kPaper && !scale.quick);
     const std::uint32_t defaultNodes = usePaper ? 10'000 : quickNodes;
     const std::uint32_t defaultRuns = usePaper ? 100 : quickRuns;
-    scale.nodes = getPositiveUint32(args, "nodes", defaultNodes);
-    scale.runs = getPositiveUint32(args, "runs", defaultRuns);
+    scale.nodes = args.getPositiveUint32("nodes", defaultNodes);
+    scale.runs = args.getPositiveUint32("runs", defaultRuns);
     scale.seed = args.getUint("seed", 42);
     const std::uint64_t threads =
         args.getPositiveUint("threads", TaskPool::defaultThreads());
@@ -146,42 +134,12 @@ inline Scale resolveScale(const CliArgs& args, std::uint32_t quickNodes,
     scale.timing = timingPreset(timing);
     scale.timingName = timingChoices()[timing];
     return scale;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    std::exit(2);
-  }
+  });
 }
 
 /// The ParallelSweep every bench drives its runners through.
 inline analysis::ParallelSweep makeSweep(const Scale& scale) {
   return analysis::ParallelSweep({.threads = scale.threads});
-}
-
-/// Runs a bench-specific argument getter (e.g. getDouble("churn", ...))
-/// under the same print-and-exit-2 error path as resolveScale, so a
-/// malformed value never escapes main() as an uncaught exception.
-template <typename Fn>
-auto argOrExit(Fn&& fn) -> decltype(fn()) {
-  try {
-    return fn();
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    std::exit(2);
-  }
-}
-
-/// Reads --churn: a per-cycle replacement rate, finite and in (0, 1).
-/// Anything else prints the error and exits 2 — a rate of 0 would churn
-/// nobody and run a churn warm-up to its cycle cap.
-inline double churnRateOrExit(const CliArgs& args, double fallback) {
-  const double rate =
-      argOrExit([&] { return args.getDouble("churn", fallback); });
-  if (!(rate > 0.0 && rate < 1.0)) {
-    std::fprintf(stderr, "--churn must be a rate in (0, 1) (got %s)\n",
-                 args.get("churn").value_or("?").c_str());
-    std::exit(2);
-  }
-  return rate;
 }
 
 /// Prints the bench banner: what figure this regenerates and at what scale.

@@ -251,6 +251,7 @@ int main(int argc, char** argv) {
   if (!args) return 0;
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/600,
                                          /*quickRuns=*/10);
-  return run(scale, static_cast<std::uint32_t>(bench::argOrExit(
-                 [&] { return args->getPositiveUint("fanout", 3); })));
+  return run(scale, argOrExit([&] {
+               return args->getPositiveUint32("fanout", 3);
+             }));
 }

@@ -110,6 +110,7 @@ int main(int argc, char** argv) {
   if (!args) return 0;
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/2'000,
                                          /*quickRuns=*/50);
-  return run(scale, static_cast<std::uint32_t>(bench::argOrExit(
-                        [&] { return args->getPositiveUint("fanout", 5); })));
+  return run(scale, argOrExit([&] {
+               return args->getPositiveUint32("fanout", 5);
+             }));
 }

@@ -80,6 +80,7 @@ int main(int argc, char** argv) {
   if (!args) return 0;
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/1'500,
                                          /*quickRuns=*/25);
-  return run(scale, static_cast<std::uint32_t>(bench::argOrExit(
-                        [&] { return args->getPositiveUint("fanout", 2); })));
+  return run(scale, argOrExit([&] {
+               return args->getPositiveUint32("fanout", 2);
+             }));
 }

@@ -461,8 +461,7 @@ std::string description() {
 /// The --figure row. A missing or unknown number, or a flag the figure
 /// does not read, prints the error and exits 2.
 const Figure& figureOrExit(const CliArgs& args) {
-  const auto number =
-      bench::argOrExit([&] { return args.getUint("figure", 0); });
+  const auto number = argOrExit([&] { return args.getUint("figure", 0); });
   const Figure* chosen = nullptr;
   for (const auto& figure : kFigures)
     if (static_cast<std::uint64_t>(figure.number) == number) chosen = &figure;
@@ -498,11 +497,13 @@ int main(int argc, char** argv) {
       bench::resolveScale(*args, figure.quickNodes, figure.quickRuns,
                           bench::DefaultScale::kPaper);
   const double churnRate =
-      readsChurn(figure) ? bench::churnRateOrExit(*args, 0.002) : 0.0;
+      readsChurn(figure)
+          ? argOrExit([&] { return args->getRate("churn", 0.002); })
+          : 0.0;
   const auto experiments =
       readsExperiments(figure)
-          ? bench::argOrExit([&] {
-              return bench::getPositiveUint32(*args, "experiments", 2);
+          ? argOrExit([&] {
+              return args->getPositiveUint32("experiments", 2);
             })
           : 0u;
 

@@ -185,9 +185,10 @@ int main(int argc, char** argv) {
   if (!args) return 0;
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/600,
                                          /*quickRuns=*/1);
-  return run(scale,
-             static_cast<std::uint32_t>(bench::argOrExit(
-                 [&] { return args->getPositiveUint("split-cycles", 25); })),
-             static_cast<std::uint32_t>(bench::argOrExit(
-                 [&] { return args->getPositiveUint("heal-cycles", 60); })));
+  return run(scale, argOrExit([&] {
+               return args->getPositiveUint32("split-cycles", 25);
+             }),
+             argOrExit([&] {
+               return args->getPositiveUint32("heal-cycles", 60);
+             }));
 }

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
   const bool explicitNodes = args->get("nodes").has_value();
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/100'000,
                                          /*quickRuns=*/1);
-  const auto engineThreads = static_cast<std::uint32_t>(bench::argOrExit(
+  const auto engineThreads = static_cast<std::uint32_t>(argOrExit(
       [&] {
         const std::uint64_t threads = args->getUint("engine-threads", 0);
         if (threads > 256)

@@ -157,10 +157,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> searchVocabulary = {"all"};
   for (const auto& choice : vs07::search::searchStrategyChoices())
     searchVocabulary.push_back(choice);
-  const auto searchChoice = bench::argOrExit(
+  const auto searchChoice = argOrExit(
       [&] { return args->getChoice("search", searchVocabulary, 0); });
   const auto engineThreads =
-      static_cast<std::uint32_t>(bench::argOrExit([&] {
+      static_cast<std::uint32_t>(argOrExit([&] {
         const auto threads = args->getUint("engine-threads", 0);
         if (threads > 4096)
           throw std::invalid_argument("--engine-threads must be <= 4096");

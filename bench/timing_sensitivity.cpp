@@ -220,8 +220,8 @@ int main(int argc, char** argv) {
   if (!args) return 0;
   const auto scale = bench::resolveScale(*args, /*quickNodes=*/1'000,
                                          /*quickRuns=*/10);
-  const auto models = bench::argOrExit([&] { return selectModels(*args); });
-  const auto engineThreads = static_cast<std::uint32_t>(bench::argOrExit(
+  const auto models = argOrExit([&] { return selectModels(*args); });
+  const auto engineThreads = static_cast<std::uint32_t>(argOrExit(
       [&] {
         const std::uint64_t threads = args->getUint("engine-threads", 0);
         if (threads > 256)

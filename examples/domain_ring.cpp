@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   const auto args = parser.parseOrExit(argc, argv);
   if (!args) return 0;
   const auto nodes =
-      static_cast<std::uint32_t>(args->getUint("nodes", 300));
+      argOrExit([&] { return args->getPositiveUint32("nodes", 300); });
 
   // Sub-domains of one organisation share their sequence-id prefix (the
   // 40-bit key truncates past "country.org"), so the ring groups at the

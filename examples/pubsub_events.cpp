@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   if (!args) return 0;
 
   const auto nodes =
-      static_cast<std::uint32_t>(args->getUint("nodes", 400));
+      argOrExit([&] { return args->getPositiveUint32("nodes", 400); });
   sim::Network network(nodes, 11);
   pubsub::PubSub pubsub(network, 12);
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const auto args = parser.parseOrExit(argc, argv);
   if (!args) return 0;
   const auto nodes =
-      static_cast<std::uint32_t>(args->getUint("nodes", 1000));
+      argOrExit([&] { return args->getPositiveUint32("nodes", 1000); });
 
   // A warmed-up scenario plus one live push+pull session: fanout 2 keeps
   // push redundancy deliberately minimal, anti-entropy runs every cycle.

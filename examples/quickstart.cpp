@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   parser.option("nodes", "population size (default 1000)");
   const auto args = parser.parseOrExit(argc, argv);
   if (!args) return 0;
-  const auto nodes = static_cast<std::uint32_t>(args->getUint("nodes", 1000));
+  const auto nodes =
+      argOrExit([&] { return args->getPositiveUint32("nodes", 1000); });
 
   // 1. One builder call wires and self-organises the whole system: every
   //    node runs CYCLON (random partial view) and VICINITY (converges its

@@ -25,16 +25,17 @@ int main(int argc, char** argv) {
       "Software-update scenario: update pushes over a churning "
       "population; who misses updates, and how old are they?");
   parser.option("nodes", "population size (default 800)")
-      .option("churn", "churn rate per cycle (default 0.005)")
+      .option("churn", "churn rate per cycle, in (0, 1) (default 0.005)")
       .option("pushes", "number of update pushes (default 50)");
   const auto args = parser.parseOrExit(argc, argv);
   if (!args) return 0;
 
   const auto nodes =
-      static_cast<std::uint32_t>(args->getUint("nodes", 800));
-  const double churnRate = args->getDouble("churn", 0.005);
+      argOrExit([&] { return args->getPositiveUint32("nodes", 800); });
+  const double churnRate =
+      argOrExit([&] { return args->getRate("churn", 0.005); });
   const auto pushes =
-      static_cast<std::uint32_t>(args->getUint("pushes", 50));
+      argOrExit([&] { return args->getPositiveUint32("pushes", 50); });
 
   std::printf("fleet of %u machines; churn %.2f%%/cycle\n", nodes,
               churnRate * 100.0);

@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
   if (!args) return 0;
 
   const auto nodes =
-      static_cast<std::uint32_t>(args->getUint("nodes", 2000));
+      argOrExit([&] { return args->getPositiveUint32("nodes", 2000); });
   const auto fanout =
-      static_cast<std::uint32_t>(args->getUint("fanout", 3));
+      argOrExit([&] { return args->getPositiveUint32("fanout", 3); });
   constexpr std::uint32_t kAlerts = 20;
 
   std::printf("deploying %u sensor nodes...\n", nodes);

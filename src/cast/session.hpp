@@ -121,7 +121,7 @@ class LiveSession final : public CastSession {
               const gossip::MultiRing* rings, CastOptions options);
 
   /// Pushes a message, runs options().settleCycles engine cycles (pull
-  /// backfill), and reports. Under a delayed transport the report covers
+  /// backfill), and reports. Under message latency the report covers
   /// whatever has been delivered so far; settle more cycles and call
   /// report() to re-measure.
   DeliveryReport publish(NodeId origin) override;

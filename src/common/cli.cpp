@@ -129,6 +129,14 @@ std::uint64_t CliArgs::getPositiveUint(const std::string& name,
   return value;
 }
 
+std::uint32_t CliArgs::getPositiveUint32(const std::string& name,
+                                         std::uint32_t fallback) const {
+  const std::uint64_t value = getPositiveUint(name, fallback);
+  if (value > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("--" + name + " must be below 2^32");
+  return static_cast<std::uint32_t>(value);
+}
+
 std::int64_t CliArgs::getInt(const std::string& name,
                              std::int64_t fallback) const {
   const auto v = get(name);
@@ -140,6 +148,15 @@ double CliArgs::getDouble(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
   return parseNumber<double>(name, *v, "number");
+}
+
+double CliArgs::getRate(const std::string& name, double fallback) const {
+  const double rate = getDouble(name, fallback);
+  if (!(rate > 0.0 && rate < 1.0))
+    throw std::invalid_argument(
+        "--" + name + " must be a rate in (0, 1) (got " +
+        get(name).value_or(std::to_string(rate)) + ")");
+  return rate;
 }
 
 bool CliArgs::getBool(const std::string& name, bool fallback) const {

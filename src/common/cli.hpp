@@ -1,10 +1,14 @@
 // Minimal command-line option parsing for the bench/example binaries.
 // Supports `--name=value`, `--name value`, and boolean `--flag` forms.
 // Unknown options are an error so typos do not silently run the default
-// experiment scale.
+// experiment scale, and so is a malformed value: parseOrExit and
+// argOrExit turn either into a message and exit status 2.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <map>
 #include <optional>
 #include <string>
@@ -36,8 +40,15 @@ class CliArgs {
   /// an experiment with no workers).
   std::uint64_t getPositiveUint(const std::string& name,
                                 std::uint64_t fallback) const;
+  /// getPositiveUint narrowed to 32 bits: a value like 2^32 would
+  /// otherwise truncate to 0 and slip past the zero rejection.
+  std::uint32_t getPositiveUint32(const std::string& name,
+                                  std::uint32_t fallback) const;
   std::int64_t getInt(const std::string& name, std::int64_t fallback) const;
   double getDouble(const std::string& name, double fallback) const;
+  /// getDouble restricted to a rate strictly inside (0, 1), e.g. a
+  /// per-cycle churn rate: 0 would churn nobody and 1 everybody.
+  double getRate(const std::string& name, double fallback) const;
   bool getBool(const std::string& name, bool fallback = false) const;
   /// Enumerated flag: returns the index of the option's value within
   /// `choices`, or `fallbackIndex` when the option is absent. An
@@ -60,6 +71,20 @@ class CliArgs {
   friend class CliParser;
   std::map<std::string, std::string> values_;
 };
+
+/// Runs an argument getter (e.g. args.getRate("churn", 0.002)) for a
+/// main(): a malformed value prints the getter's error to stderr and
+/// exits with status 2, like an unknown option under parseOrExit, instead
+/// of unwinding into std::terminate.
+template <typename Fn>
+auto argOrExit(Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    std::exit(2);
+  }
+}
 
 /// Declarative option registry + parser. Declares the accepted options up
 /// front so `--help` output is generated and unknown options rejected.

@@ -1,11 +1,12 @@
 // MessagePool — recyclable slot storage for in-flight messages.
 //
-// Queued transports (DelayedTransport, sim::LatencyTransport via the
-// engine) used to copy each queued Message into a heap-allocated closure;
-// at a million nodes that made the allocator the hot path. The pool keeps
-// a freelist of Message slots whose entry/id vectors retain their
-// capacity across reuse, so a steady-state cycle checks messages in and
-// out without touching the allocator at all:
+// Every queued message path keeps its payloads here: sim::LatencyTransport
+// (via the engine), the sharded engine's per-shard stores and
+// UdpTransport's retry queue. Copying each queued Message into a
+// heap-allocated closure made the allocator the hot path at a million
+// nodes. The pool keeps a freelist of Message slots whose entry/id
+// vectors retain their capacity across reuse, so a steady-state cycle
+// checks messages in and out without touching the allocator at all:
 //
 //   * checkIn(msg) swaps the sender's payload into a pooled slot and
 //     hands the slot's previously recycled buffers back to the sender's

@@ -4,8 +4,8 @@
 // exponential ticks) and schedules the delivery on the engine's shared
 // scheduler at delivery priority, so in-flight traffic interleaves with
 // node gossip timers in deterministic (dueTick, priority, seq) order.
-// This is the event-core replacement for pumping a DelayedTransport once
-// per cycle: no side heap, no separate clock, and latencies are
+// It is the simulator's one mechanism for delaying or dropping a
+// message: there is no side heap and no separate clock, and latencies are
 // meaningful at sub-cycle granularity under jittered timing. Payloads
 // ride the engine's MessagePool (Engine::scheduleMessageDelivery), so a
 // steady-state cycle's in-flight traffic is allocation-free.
@@ -36,8 +36,6 @@ class LatencyTransport final : public net::Transport {
  public:
   LatencyTransport(Engine& engine, net::DeliverySink& sink,
                    LatencyModel latency, std::uint64_t seed);
-  LatencyTransport(Engine& engine, net::DeliverFn deliver,
-                   LatencyModel latency, std::uint64_t seed);
 
   /// Schedules delivery `latency.draw()` ticks from the engine's current
   /// tick. A zero-tick draw still goes through the queue (it runs at the
@@ -67,13 +65,13 @@ class LatencyTransport final : public net::Transport {
     explicit CountingSink(LatencyTransport& owner) : owner(owner) {}
     void deliver(NodeId to, net::Message&& msg) override {
       --owner.inFlight_;
-      owner.sink_->deliver(to, std::move(msg));
+      owner.sink_.deliver(to, std::move(msg));
     }
     LatencyTransport& owner;
   };
 
   Engine& engine_;
-  net::SinkRef sink_;
+  net::DeliverySink& sink_;
   CountingSink counting_{*this};
   LatencyModel latency_;
   Rng rng_;

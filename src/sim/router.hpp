@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <utility>
 
 #include "net/delivery_sink.hpp"
 #include "net/message.hpp"
@@ -35,13 +34,6 @@ class MessageRouter final : public net::DeliverySink {
   // the message by const reference; the buffer is recycled by the caller
   // once the handler returns.
   void deliver(NodeId to, net::Message&& msg) override;
-
-  /// Convenience for tests and ad-hoc injection: copies the message into
-  /// the move path.
-  void deliver(NodeId to, const net::Message& msg) {
-    net::Message copy = msg;
-    deliver(to, std::move(copy));
-  }
 
   /// Messages dropped because the destination was dead.
   std::uint64_t droppedDead() const noexcept { return droppedDead_; }

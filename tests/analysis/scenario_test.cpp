@@ -48,8 +48,7 @@ TEST(ScenarioBuilder, ZeroRingsRejected) {
 }
 
 TEST(ScenarioBuilder, InvalidKnobsRejected) {
-  EXPECT_THROW(Scenario::builder().delayedTransport(5, 2), ContractViolation);
-  EXPECT_THROW(Scenario::builder().lossyTransport(1.5), ContractViolation);
+  EXPECT_THROW(Scenario::builder().linkLoss(1.5), ContractViolation);
   EXPECT_THROW(Scenario::builder().churn(0.0), ContractViolation);
   EXPECT_THROW(
       Scenario::builder().churn(0.01).sessionChurn(sim::SessionDistribution{}),

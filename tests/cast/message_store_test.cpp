@@ -135,9 +135,7 @@ struct TinyLive {
   explicit TinyLive(std::uint32_t n, LiveCast::Params params)
       : network(n, /*seed=*/3),
         router(network),
-        transport([this](NodeId to, const net::Message& m) {
-          router.deliver(to, m);
-        }),
+        transport(router),
         cyclon(network, transport, router, {20, 8}, 4),
         vicinity(network, transport, router, cyclon, {}, 5),
         live(network, transport, router, cyclon, &vicinity, params, 6),

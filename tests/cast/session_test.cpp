@@ -206,28 +206,31 @@ TEST(LiveSession, UnknownDataIdRejected) {
   EXPECT_THROW(session.report(123456), ContractViolation);
 }
 
-TEST(LiveSession, DelayedTransportSpreadsTheWaveOverCycles) {
+TEST(LiveSession, LatencySpreadsTheWaveOverCycles) {
   Scenario scenario = Scenario::builder()
                           .nodes(200)
                           .seed(21)
-                          .delayedTransport(1, 3)
+                          .latency(sim::LatencyModel::uniform(1, 3))
                           .build();
   auto& session = scenario.liveSession(ringOptions());
   const auto atPublish = session.publish(0);
   // Everything is still in flight right after publish...
   EXPECT_GT(atPublish.missRatioPercent(), 50.0);
-  ASSERT_NE(scenario.delayedTransport(), nullptr);
-  // ...and the engine's transport pump delivers it over the next cycles.
+  ASSERT_NE(scenario.latencyTransport(), nullptr);
+  // ...and the engine queue delivers it over the next cycles.
   scenario.runCycles(100);
   const auto settled = session.report(session.lastDataId());
   EXPECT_EQ(settled.missRatioPercent(), 0.0);
 }
 
-TEST(LiveSession, LossyTransportLosesMessagesButPullRepairs) {
+TEST(LiveSession, LinkLossLosesMessagesButPullRepairs) {
+  // Loss engages after the warm-up, so it bites dissemination, not the
+  // overlay's self-organisation.
   Scenario scenario = Scenario::builder()
                           .nodes(300)
                           .seed(22)
-                          .lossyTransport(0.10)
+                          .linkLoss(0.10)
+                          .conditionsFromCycle(Scenario::Config{}.warmupCycles)
                           .build();
   auto& session = scenario.liveSession({.strategy = Strategy::kPushPull,
                                         .fanout = 3,

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace vs07 {
 namespace {
@@ -337,6 +340,77 @@ TEST(Cli, GetHostPortRejectsBadPorts) {
   EXPECT_NE(hostPortFailure("h:99999").find("above 65535"),
             std::string::npos);
   EXPECT_NE(hostPortFailure(":9000").find("empty host"), std::string::npos);
+}
+
+TEST(Cli, PositiveUint32RejectsZeroJunkAndValuesPast32Bits) {
+  EXPECT_EQ(parse({"--nodes", "4294967295"})->getPositiveUint32("nodes", 1),
+            4294967295u);
+  EXPECT_EQ(parse({})->getPositiveUint32("nodes", 7), 7u);
+  EXPECT_THROW(parse({"--nodes", "0"})->getPositiveUint32("nodes", 1),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--nodes", "x"})->getPositiveUint32("nodes", 1),
+               std::invalid_argument);
+  // 2^32 would truncate to 0 if it were narrowed unchecked.
+  EXPECT_THROW(parse({"--nodes", "4294967296"})->getPositiveUint32("nodes", 1),
+               std::invalid_argument);
+}
+
+TEST(Cli, RateMustLieStrictlyInsideTheUnitInterval) {
+  EXPECT_DOUBLE_EQ(parse({"--rate", "0.25"})->getRate("rate", 0.5), 0.25);
+  EXPECT_DOUBLE_EQ(parse({})->getRate("rate", 0.5), 0.5);
+  for (const char* bad : {"0", "1", "-0.1", "1.5", "nan", "abc"})
+    EXPECT_THROW(parse({"--rate", bad})->getRate("rate", 0.5),
+                 std::invalid_argument)
+        << bad;
+  try {
+    parse({"--rate", "0"})->getRate("rate", 0.5);
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--rate must be a rate in (0, 1)"),
+              std::string::npos);
+  }
+}
+
+/// The numeric flags the examples read, as their mains read them.
+CliArgs exampleArgs(std::initializer_list<const char*> argv) {
+  CliParser parser("example");
+  parser.option("nodes", "population size")
+      .option("churn", "churn rate per cycle")
+      .option("pushes", "number of pushes")
+      .option("fanout", "fanout");
+  std::vector<const char*> args{"example"};
+  args.insert(args.end(), argv.begin(), argv.end());
+  return *parser.parse(static_cast<int>(args.size()), args.data());
+}
+
+TEST(CliDeathTest, ArgOrExitTurnsBadExampleFlagsIntoExitStatusTwo) {
+  const auto exits = [](std::initializer_list<const char*> argv,
+                        const char* flag, bool rate) {
+    const CliArgs args = exampleArgs(argv);
+    EXPECT_EXIT(
+        {
+          if (rate)
+            argOrExit([&] { return args.getRate(flag, 0.005); });
+          else
+            argOrExit([&] { return args.getPositiveUint32(flag, 1); });
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(2), flag);
+  };
+  exits({"--nodes", "0"}, "nodes", false);
+  exits({"--nodes", "x"}, "nodes", false);
+  exits({"--pushes", "0"}, "pushes", false);
+  exits({"--fanout", "0"}, "fanout", false);
+  exits({"--churn", "abc"}, "churn", true);
+  exits({"--churn", "0"}, "churn", true);
+}
+
+TEST(Cli, ArgOrExitPassesGoodValuesThrough) {
+  const CliArgs args = exampleArgs({"--nodes", "300", "--churn", "0.01"});
+  EXPECT_EQ(argOrExit([&] { return args.getPositiveUint32("nodes", 1); }),
+            300u);
+  EXPECT_DOUBLE_EQ(argOrExit([&] { return args.getRate("churn", 0.5); }),
+                   0.01);
 }
 
 TEST(Cli, UsageListsOptions) {

@@ -1,6 +1,6 @@
 // Determinism tests for the discrete-event scheduler: (dueTick,
-// priority, seq) ordering, tie-breaks, re-entrant scheduling, the seq
-// cutoff DelayedTransport leans on, and bit-identical replay.
+// priority, seq) ordering, tie-breaks, re-entrant scheduling, and
+// bit-identical replay.
 #include "common/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -83,30 +83,6 @@ TEST(EventQueue, ReentrantSchedulingAtCurrentTickRunsInSameAdvance) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, SeqCutoffDefersReentrantEvents) {
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(1, 0, [&] {
-    order.push_back(1);
-    queue.schedule(1, 0, [&] { order.push_back(2); });
-  });
-  queue.advanceTo(1, queue.nextSeq());
-  EXPECT_EQ(order, (std::vector<int>{1}));  // the re-entrant event waits
-  queue.advanceTo(2, queue.nextSeq());
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventQueue, DrainAllRunsEverythingAndAdvancesNow) {
-  EventQueue queue;
-  int ran = 0;
-  queue.schedule(100, 0, [&] { ++ran; });
-  queue.schedule(7, 0, [&] { ++ran; });
-  queue.drainAll();
-  EXPECT_EQ(ran, 2);
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.now(), 100u);
-}
-
 TEST(EventQueue, NullActionRejected) {
   EventQueue queue;
   EXPECT_THROW(queue.schedule(1, 0, nullptr), ContractViolation);
@@ -135,7 +111,10 @@ TEST(EventQueue, RandomisedScheduleReplaysBitIdentically) {
                          [&order, i] { order.push_back(1000 + i); });
       });
     }
-    queue.drainAll();  // re-entrant tails drain in the same call
+    // Tick by tick, as the engine advances: re-entrant inserts due at
+    // the current tick run in the same advance.
+    for (std::uint64_t tick = 0; !queue.empty(); ++tick)
+      queue.advanceTo(tick);
     return order;
   };
   const auto a = run(42);

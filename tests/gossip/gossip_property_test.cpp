@@ -26,9 +26,7 @@ struct Wiring {
                   Vicinity::Params vicinityParams, std::uint64_t seed)
       : network(n, seed),
         router(network),
-        transport([this](NodeId to, const net::Message& m) {
-          router.deliver(to, m);
-        }),
+        transport(router),
         cyclon(network, transport, router, cyclonParams, seed + 1),
         vicinity(network, transport, router, cyclon, vicinityParams,
                  seed + 2),

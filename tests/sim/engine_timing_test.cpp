@@ -1,8 +1,9 @@
 // Timing-model tests for the discrete-event engine: CycleSync replay
 // determinism, JitteredPeriodic phase semantics (independent per-node
 // timers inside a cycle, controls at the cycle boundary, churn joiners),
-// engine-queue deliveries, and the scenario-level acceptance pin that
-// RINGCAST stays complete under jittered timing.
+// engine-queue deliveries through LatencyTransport (ordering, re-entrant
+// sends from delivery handlers, link loss), and the scenario-level pins
+// that RINGCAST stays complete under jittered timing and latency.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "common/expect.hpp"
 #include "sim/latency_transport.hpp"
 #include "sim/network.hpp"
+#include "sim/network_model.hpp"
 #include "sim/timing.hpp"
 
 namespace vs07::sim {
@@ -204,26 +206,167 @@ TEST(EngineTiming, ScheduledDeliveriesRunAtTheirDueTick) {
   EXPECT_EQ(engine.pendingDeliveries(), 0u);
 }
 
+net::Message dataMessage(std::uint64_t id) {
+  net::Message m;
+  m.kind = net::MessageKind::Data;
+  m.from = 0;
+  m.dataId = id;
+  return m;
+}
+
+/// Records (tick, to, dataId) for every delivery. With `transport` set,
+/// each delivered id below `chainUntil` sends id + 1 from inside the
+/// handler — the re-entrant send every forwarding protocol makes.
+class RecordingSink final : public net::DeliverySink {
+ public:
+  struct Delivery {
+    std::uint64_t tick;
+    NodeId to;
+    std::uint64_t dataId;
+    bool operator==(const Delivery&) const = default;
+  };
+
+  explicit RecordingSink(const Engine& engine) : engine_(&engine) {}
+  void deliver(NodeId to, net::Message&& msg) override {
+    log.push_back({engine_->tick(), to, msg.dataId});
+    if (transport != nullptr && msg.dataId < chainUntil)
+      transport->send(to, dataMessage(msg.dataId + 1));
+  }
+
+  std::vector<std::uint64_t> ids() const {
+    std::vector<std::uint64_t> out;
+    for (const auto& d : log) out.push_back(d.dataId);
+    return out;
+  }
+
+  std::vector<Delivery> log;
+  net::Transport* transport = nullptr;
+  std::uint64_t chainUntil = 0;
+
+ private:
+  const Engine* engine_;
+};
+
 TEST(EngineTiming, LatencyTransportDeliversThroughTheEngineQueue) {
   Network net(4, 27);
   Engine engine(net, 28, TimingConfig::jittered(4));
-  std::vector<std::pair<NodeId, std::uint64_t>> deliveries;
-  LatencyTransport transport(
-      engine,
-      [&](NodeId to, const net::Message& m) {
-        deliveries.emplace_back(to, m.dataId);
-      },
-      LatencyModel::fixed(2), /*seed=*/1);
-  net::Message msg;
-  msg.kind = net::MessageKind::Data;
-  msg.from = 0;
-  msg.dataId = 7;
-  transport.send(2, std::move(msg));
+  RecordingSink sink(engine);
+  LatencyTransport transport(engine, sink, LatencyModel::fixed(2),
+                             /*seed=*/1);
+  transport.send(2, dataMessage(7));
   EXPECT_EQ(transport.inFlight(), 1u);
-  EXPECT_TRUE(deliveries.empty());
+  EXPECT_TRUE(sink.log.empty());
   engine.run(1);  // 4 ticks > 2-tick latency
-  ASSERT_EQ(deliveries.size(), 1u);
-  EXPECT_EQ(deliveries[0], (std::pair<NodeId, std::uint64_t>{2, 7}));
+  ASSERT_EQ(sink.log.size(), 1u);
+  EXPECT_EQ(sink.log[0], (RecordingSink::Delivery{2, 2, 7}));
+  EXPECT_EQ(transport.inFlight(), 0u);
+}
+
+TEST(EngineTiming, LatencyTransportIsFifoAmongSameDueTick) {
+  Network net(4, 27);
+  Engine engine(net, 28, TimingConfig::jittered(4));
+  RecordingSink sink(engine);
+  LatencyTransport transport(engine, sink, LatencyModel::fixed(1),
+                             /*seed=*/1);
+  for (std::uint64_t id = 1; id <= 3; ++id) transport.send(id, dataMessage(id));
+  engine.run(1);
+  EXPECT_EQ(sink.ids(), (std::vector<std::uint64_t>{1, 2, 3}));
+  for (const auto& d : sink.log) EXPECT_EQ(d.tick, 1u);
+}
+
+TEST(EngineTiming, LatencyTransportReplaysRandomLatencyBitIdentically) {
+  // The engine queue's (dueTick, priority, seq) key makes the delivery
+  // order a pure function of the latency draws.
+  const auto run = [](std::uint64_t seed) {
+    Network net(4, 27);
+    Engine engine(net, 28, TimingConfig::jittered(4));
+    RecordingSink sink(engine);
+    LatencyTransport transport(engine, sink, LatencyModel::uniform(1, 7),
+                               seed);
+    for (std::uint64_t id = 0; id < 200; ++id)
+      transport.send(1, dataMessage(id));
+    engine.run(2);  // 8 ticks > the 7-tick maximum
+    EXPECT_EQ(transport.inFlight(), 0u);
+    // Due order, FIFO among messages due the same tick.
+    for (std::size_t i = 1; i < sink.log.size(); ++i) {
+      EXPECT_GE(sink.log[i].tick, sink.log[i - 1].tick);
+      if (sink.log[i].tick == sink.log[i - 1].tick) {
+        EXPECT_GT(sink.log[i].dataId, sink.log[i - 1].dataId);
+      }
+    }
+    return sink.log;
+  };
+  const auto a = run(42);
+  ASSERT_EQ(a.size(), 200u);
+  EXPECT_EQ(a, run(42));
+  EXPECT_NE(a, run(43));  // different draws: almost surely another order
+}
+
+TEST(EngineTiming, LatencyTransportSendsFromDeliveryHandlerAreNotLost) {
+  // A chain 1 -> 2 -> ... -> 10, each link sent from inside the previous
+  // delivery: nothing sent during delivery may go missing.
+  Network net(4, 27);
+  Engine engine(net, 28, TimingConfig::jittered(4));
+  RecordingSink sink(engine);
+  LatencyTransport transport(engine, sink, LatencyModel::fixed(1),
+                             /*seed=*/1);
+  sink.transport = &transport;
+  sink.chainUntil = 10;
+  transport.send(1, dataMessage(1));
+  engine.run(4);  // 16 ticks
+  ASSERT_EQ(sink.log.size(), 10u);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(sink.log[i].dataId, i + 1);
+    EXPECT_EQ(sink.log[i].tick, i + 1);  // one tick of latency per link
+  }
+  EXPECT_EQ(transport.sent(), 10u);
+  EXPECT_EQ(transport.inFlight(), 0u);
+
+  // Random latency: a longer chain still completes in full.
+  Engine randomEngine(net, 29, TimingConfig::jittered(4));
+  RecordingSink randomSink(randomEngine);
+  LatencyTransport randomTransport(randomEngine, randomSink,
+                                   LatencyModel::uniform(1, 3), /*seed=*/5);
+  randomSink.transport = &randomTransport;
+  randomSink.chainUntil = 50;
+  randomTransport.send(1, dataMessage(1));
+  randomEngine.run(40);  // 160 ticks >= 50 links x 3 ticks
+  EXPECT_EQ(randomSink.log.size(), 50u);
+  EXPECT_EQ(randomTransport.inFlight(), 0u);
+}
+
+TEST(EngineTiming, LatencyTransportReentrantSendsWaitTheirLatency) {
+  Network net(4, 27);
+  Engine engine(net, 28, TimingConfig::jittered(4));
+  RecordingSink sink(engine);
+  LatencyTransport transport(engine, sink, LatencyModel::fixed(2),
+                             /*seed=*/1);
+  sink.transport = &transport;
+  sink.chainUntil = 2;
+  transport.send(1, dataMessage(1));
+  engine.run(2);
+  // Message 1 lands at tick 2; message 2, sent from its handler, waits
+  // its own two ticks.
+  ASSERT_EQ(sink.log.size(), 2u);
+  EXPECT_EQ(sink.log[0], (RecordingSink::Delivery{2, 1, 1}));
+  EXPECT_EQ(sink.log[1], (RecordingSink::Delivery{4, 1, 2}));
+}
+
+TEST(EngineTiming, LatencyTransportLinkLossCountsAttemptsAndDropsAll) {
+  Network net(4, 27);
+  Engine engine(net, 28, TimingConfig::jittered(4));
+  RecordingSink sink(engine);
+  LatencyTransport transport(engine, sink, LatencyModel::fixed(1),
+                             /*seed=*/1);
+  NetworkConditions conditions;
+  conditions.lossRate = 1.0;
+  NetworkModel model(conditions, net, /*ticksPerCycle=*/4, /*seed=*/3);
+  transport.setNetworkModel(&model);
+  for (std::uint64_t id = 0; id < 20; ++id) transport.send(1, dataMessage(id));
+  engine.run(1);
+  EXPECT_TRUE(sink.log.empty());
+  EXPECT_EQ(transport.sent(), 20u);  // attempts count even when dropped
+  EXPECT_EQ(model.droppedByLoss(), 20u);
   EXPECT_EQ(transport.inFlight(), 0u);
 }
 
@@ -287,15 +430,47 @@ TEST(EngineTiming, LatencyLadenLiveWaveCompletesAndIsTickStamped) {
                       .build();
   auto& live = scenario.liveSession(
       {.strategy = cast::Strategy::kRingCast, .fanout = 3});
+  // The engine tick of every first-sight delivery.
+  std::vector<std::uint64_t> deliveryTicks;
+  live.live().setDeliveryHook(
+      [&](NodeId, std::uint64_t, std::uint32_t, bool) {
+        deliveryTicks.push_back(scenario.engine().tick());
+      });
   const auto first = live.publishFromRandom();
   // The wave is still in flight right after publish: deliveries are
   // events on the engine queue, not synchronous calls.
   EXPECT_LT(first.notified, 300u);
-  scenario.runCycles(300);
+  // Notification never shrinks as the wave spreads.
+  std::uint64_t notified = first.notified;
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    scenario.runCycles(1);
+    const auto now = live.report(live.lastDataId()).notified;
+    EXPECT_GE(now, notified);
+    notified = now;
+  }
   const auto settled = live.report(live.lastDataId());
   EXPECT_EQ(settled.notified, 300u);
   const auto& stats = live.live().stats(live.lastDataId());
   EXPECT_GT(stats.spreadTicks(), 0u);
+  EXPECT_EQ(scenario.router().droppedUnroutable(), 0u);
+  // Tick by tick: deliveries arrive in engine-time order, over many ticks.
+  ASSERT_EQ(deliveryTicks.size(), 300u);
+  EXPECT_TRUE(std::is_sorted(deliveryTicks.begin(), deliveryTicks.end()));
+  EXPECT_GT(std::set<std::uint64_t>(deliveryTicks.begin(),
+                                    deliveryTicks.end())
+                .size(),
+            1u);
+
+  // Two waves in flight at once both complete.
+  live.publish(0);
+  const auto a = live.lastDataId();
+  live.publish(1);
+  const auto b = live.lastDataId();
+  scenario.runCycles(300);
+  for (const auto id : {a, b}) {
+    EXPECT_EQ(live.report(id).notified, 300u);
+    EXPECT_EQ(live.report(id).pushDelivered, 300u);
+  }
   EXPECT_EQ(scenario.router().droppedUnroutable(), 0u);
 }
 

@@ -1,9 +1,11 @@
-// Shared scaffolding for the figure benches: scale selection, the common
-// CLI surface (--nodes/--runs/--seed/--paper/--quick/--csv/--threads/
-// --json), header printing so every bench output is self-describing, the
-// two Scenario shorthands (static and churned) every figure builds on,
-// and the machine-readable BENCH_*.json record every bench emits when
-// --json is given.
+// Shared scaffolding for the benches: scale selection, the common CLI
+// surface (--nodes/--runs/--seed/--paper/--quick/--csv/--threads/--json),
+// the row selector of the table-driven drivers (paper_figures --figure,
+// ablations --study, failure_studies --scenario), header and table
+// printing so every bench output is self-describing, the two Scenario
+// shorthands (static and churned) every figure builds on, and the
+// machine-readable BENCH_*.json record every bench emits when --json is
+// given.
 //
 // Scale defaults: the paper figures (paper_figures --figure 6..13)
 // default to the paper's full scale (10k nodes, 100 runs/point) now that
@@ -12,6 +14,7 @@
 // scale; --paper raises them. Explicit --nodes/--runs always win.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -154,6 +157,58 @@ inline void printHeader(const std::string& figure, const std::string& paperNote,
               scale.quick ? " [--quick]" : (scale.paper ? " [--paper]" : ""));
 }
 
+/// Prints a table as aligned text, or as CSV under --csv.
+inline void printTable(const Table& table, bool csv) {
+  std::fputs((csv ? table.renderCsv() : table.render()).c_str(), stdout);
+}
+
+// -- the row selector of a table-driven driver ----------------------------
+//
+// A driver (paper_figures, ablations, failure_studies) holds one row per
+// figure or study: a `name` for the selector, a `title`, and the
+// row-specific `flags` it reads.
+
+/// Whether `row` reads the study-specific flag `flag`.
+template <typename Row>
+bool reads(const Row& row, const std::string& flag) {
+  return std::find(row.flags.begin(), row.flags.end(), flag) !=
+         row.flags.end();
+}
+
+/// A driver's --help text: `intro`, then one line per row.
+template <typename Row, std::size_t N>
+std::string studiesDescription(std::string intro, const Row (&rows)[N]) {
+  for (const Row& row : rows)
+    intro += "\n  " + std::string(row.name) + ": " + row.title;
+  return intro;
+}
+
+/// The row that --<selector> names. A missing or unknown name, or a flag
+/// of another row that the chosen one does not read, prints the error
+/// and exits 2, like an unknown option.
+template <typename Row, std::size_t N>
+const Row& rowOrExit(const CliArgs& args, const std::string& selector,
+                     const Row (&rows)[N]) {
+  std::vector<std::string> names;
+  for (const Row& row : rows) names.emplace_back(row.name);
+  if (!args.has(selector)) {
+    std::string message = "--" + selector + " is required; choices:";
+    for (const auto& name : names) message += " " + name;
+    std::fprintf(stderr, "%s\n", message.c_str());
+    std::exit(2);
+  }
+  const Row& chosen =
+      rows[argOrExit([&] { return args.getChoice(selector, names, 0); })];
+  for (const Row& row : rows)
+    for (const std::string& flag : row.flags)
+      if (args.has(flag) && !reads(chosen, flag)) {
+        std::fprintf(stderr, "--%s does not apply to --%s %s\n",
+                     flag.c_str(), selector.c_str(), chosen.name);
+        std::exit(2);
+      }
+  return chosen;
+}
+
 /// Stopwatch for phase timing lines.
 class Stopwatch {
  public:
@@ -219,11 +274,19 @@ inline analysis::Scenario buildChurned(const Scale& scale, double rate,
 
 /// Accumulates the bench's metric series and writes the JSON record
 /// (schema: scripts/check_bench_json.py documents the required keys).
-/// Wall-clock is measured from construction to write().
+///
+/// Everything that depends on the machine or the clock lives in one
+/// top-level "host" object: the wall-clock time (measured from
+/// construction to write()), peak RSS, the --threads worker count, the
+/// hardware thread count, and, under host.series.<label>, the timings,
+/// rates and RSS samples of individual series. With "host" removed, a
+/// record is identical across runs, hosts and --threads values.
 class JsonReport {
  public:
   JsonReport(std::string bench, const Scale& scale)
-      : root_(Json::object()), series_(Json::array()) {
+      : root_(Json::object()),
+        series_(Json::array()),
+        hostSeries_(Json::object()) {
     root_.set("bench", std::move(bench))
         .set("schema_version", 1)
         .set("scale", Json::object()
@@ -232,7 +295,6 @@ class JsonReport {
                           .set("paper", scale.paper)
                           .set("quick", scale.quick))
         .set("seed", scale.seed)
-        .set("threads", scale.threads)
         .set("timing", timingJson(scale.timing));
   }
 
@@ -248,6 +310,12 @@ class JsonReport {
   /// Adds one named series object (whatever shape the bench measures).
   void addSeries(Json series) { series_.push(std::move(series)); }
 
+  /// Attaches the host-dependent half of series `label` (wall-clock
+  /// times, rates, RSS samples) as host.series.<label>.
+  void addHostSeries(std::string label, Json values) {
+    hostSeries_.set(std::move(label), std::move(values));
+  }
+
   /// Attaches an arbitrary top-level key (e.g. churn parameters).
   void setParam(std::string key, Json value) {
     root_.set(std::move(key), std::move(value));
@@ -257,11 +325,14 @@ class JsonReport {
   /// confirmation line. No-op otherwise.
   void write(const Scale& scale) {
     if (scale.jsonPath.empty()) return;
-    const double seconds = timer_.seconds();
-    root_.set("wall_clock_seconds", seconds);
-    root_.set("wall_clock_ms", seconds * 1000.0);
-    root_.set("peak_rss_bytes", peakRssBytes());
+    Json host = Json::object()
+                    .set("wall_clock_seconds", timer_.seconds())
+                    .set("peak_rss_bytes", peakRssBytes())
+                    .set("threads", scale.threads)
+                    .set("hardware_threads", TaskPool::defaultThreads());
+    if (hostSeries_.size() > 0) host.set("series", std::move(hostSeries_));
     root_.set("series", std::move(series_));
+    root_.set("host", std::move(host));
     std::ofstream out(scale.jsonPath);
     if (!out) {
       std::fprintf(stderr, "cannot write JSON record to %s\n",
@@ -276,6 +347,7 @@ class JsonReport {
   Stopwatch timer_;
   Json root_;
   Json series_;
+  Json hostSeries_;
 };
 
 // The series builders live in analysis/report_json.hpp (shared with the
@@ -304,10 +376,11 @@ struct ThreadScalingOptions {
 };
 
 /// Runs the sweep, prints per-count lines, and appends a
-/// "thread_scaling" series (threads / node_cycles_per_sec / speedup_vs_1
-/// / peak_rss_bytes parallel arrays, plus the timing metadata) to
-/// `report`. Returns false when either the cross-thread message-count
-/// identity or the hardware-permitting >= 3x speedup floor is violated;
+/// "thread_scaling" series (the threads axis plus the timing metadata) to
+/// `report`, with the node_cycles_per_sec / speedup_vs_1 / peak_rss_bytes
+/// arrays parallel to it in host.series.<label>. Returns false when
+/// either the cross-thread message-count identity or the
+/// hardware-permitting >= 3x speedup floor is violated;
 /// the floor is enforced only at >= 8 workers on machines with the cores
 /// to back them and populations >= 1M that amortise barrier cost.
 inline bool runThreadScaling(const ThreadScalingOptions& opt,
@@ -415,11 +488,12 @@ inline bool runThreadScaling(const ThreadScalingOptions& opt,
                        .set("timing", JsonReport::timingJson(opt.timing))
                        .set("nodes", opt.nodes)
                        .set("measured_cycles", opt.measuredCycles)
-                       .set("hardware_threads", hwThreads)
-                       .set("threads", std::move(threadsAxis))
-                       .set("node_cycles_per_sec", std::move(rate))
-                       .set("speedup_vs_1", std::move(speedups))
-                       .set("peak_rss_bytes", std::move(rss)));
+                       .set("threads", std::move(threadsAxis)));
+  report.addHostSeries(opt.label,
+                       Json::object()
+                           .set("node_cycles_per_sec", std::move(rate))
+                           .set("speedup_vs_1", std::move(speedups))
+                           .set("peak_rss_bytes", std::move(rss)));
   std::printf("\n");
   return ok;
 }

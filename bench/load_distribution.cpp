@@ -89,8 +89,7 @@ int run(const bench::Scale& scale, std::uint32_t fanout) {
        .recordLoad = true});
   addRows(table, "StarFlood", accumulateLoad(std::move(starFlood), scale.runs));
 
-  std::fputs((scale.csv ? table.renderCsv() : table.render()).c_str(),
-             stdout);
+  bench::printTable(table, scale.csv);
   std::printf("\nfanout %u, %u disseminations per protocol\n", fanout,
               scale.runs);
 

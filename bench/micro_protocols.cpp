@@ -35,13 +35,25 @@ analysis::Scenario warmScenario(std::uint32_t nodes) {
   return analysis::Scenario::paperStatic(nodes, /*seed=*/7);
 }
 
+/// Gossip messages per cycle, counted over a fixed run of cycles ahead
+/// of the timed loop: the count then does not depend on the iteration
+/// count Google Benchmark picks.
+double countedMsgsPerCycle(analysis::Scenario& scenario) {
+  constexpr std::uint32_t kCountedCycles = 8;
+  const std::uint64_t sentBefore = scenario.gossipMessagesSent();
+  scenario.runCycles(kCountedCycles);
+  return static_cast<double>(scenario.gossipMessagesSent() - sentBefore) /
+         kCountedCycles;
+}
+
 void BM_GossipCycle(benchmark::State& state) {
   const auto nodes = static_cast<std::uint32_t>(state.range(0));
   auto scenario = warmScenario(nodes);
   // One settle cycle brings scratch buffers and queues to their steady
   // capacity; the timed loop then measures the zero-allocation regime.
   scenario.runCycles(1);
-  const std::uint64_t sentBefore = scenario.transport().sent();
+  const double msgsPerCycle = countedMsgsPerCycle(scenario);
+  const std::uint64_t sentBefore = scenario.gossipMessagesSent();
   const vs07::AllocScope allocs;
   for (auto _ : state) scenario.runCycles(1);
   // Snapshot before touching state.counters: the counter map itself
@@ -53,11 +65,9 @@ void BM_GossipCycle(benchmark::State& state) {
   // The hot-path invariant: steady-state gossip cycles allocate nothing.
   state.counters["allocs_per_cycle"] =
       static_cast<double>(allocDelta) / cycles;
-  state.counters["msgs_per_cycle"] =
-      static_cast<double>(scenario.transport().sent() - sentBefore) /
-      cycles;
+  state.counters["msgs_per_cycle"] = msgsPerCycle;
   state.counters["msgs_per_sec"] = benchmark::Counter(
-      static_cast<double>(scenario.transport().sent() - sentBefore),
+      static_cast<double>(scenario.gossipMessagesSent() - sentBefore),
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GossipCycle)->Arg(1'000)->Arg(10'000)->Unit(benchmark::kMillisecond);
@@ -71,7 +81,7 @@ void BM_ShardedGossipCycle(benchmark::State& state) {
                       .engineThreads(threads)
                       .build();
   scenario.runCycles(1);
-  const std::uint64_t sentBefore = scenario.gossipMessagesSent();
+  const double msgsPerCycle = countedMsgsPerCycle(scenario);
   const vs07::AllocScope allocs;
   for (auto _ : state) scenario.runCycles(1);
   const std::uint64_t allocDelta = allocs.allocations();
@@ -86,9 +96,7 @@ void BM_ShardedGossipCycle(benchmark::State& state) {
   // nonzero exit (the ctest/CI gate).
   state.counters["allocs_per_cycle"] =
       static_cast<double>(allocDelta) / cycles;
-  state.counters["msgs_per_cycle"] =
-      static_cast<double>(scenario.gossipMessagesSent() - sentBefore) /
-      cycles;
+  state.counters["msgs_per_cycle"] = msgsPerCycle;
 }
 BENCHMARK(BM_ShardedGossipCycle)
     ->Args({1'000, 2})
@@ -109,7 +117,9 @@ void BM_ShardedGossipCycleLatency(benchmark::State& state) {
   // stores across cycles; a few settle cycles let the stores and due
   // queues reach their steady capacity before the timed loop.
   scenario.runCycles(3);
-  const std::uint64_t sentBefore = scenario.gossipMessagesSent();
+  const double msgsPerCycle = countedMsgsPerCycle(scenario);
+  const auto storedInFlight =
+      static_cast<double>(scenario.shardedEngine()->storedInFlight());
   const vs07::AllocScope allocs;
   for (auto _ : state) scenario.runCycles(1);
   const std::uint64_t allocDelta = allocs.allocations();
@@ -124,11 +134,8 @@ void BM_ShardedGossipCycleLatency(benchmark::State& state) {
   // benchmark under main()'s zero-allocation gate.
   state.counters["allocs_per_cycle"] =
       static_cast<double>(allocDelta) / cycles;
-  state.counters["msgs_per_cycle"] =
-      static_cast<double>(scenario.gossipMessagesSent() - sentBefore) /
-      cycles;
-  state.counters["stored_in_flight"] =
-      static_cast<double>(scenario.shardedEngine()->storedInFlight());
+  state.counters["msgs_per_cycle"] = msgsPerCycle;
+  state.counters["stored_in_flight"] = storedInFlight;
 }
 BENCHMARK(BM_ShardedGossipCycleLatency)
     ->Args({1'000, 2})
@@ -310,7 +317,7 @@ class CollectingReporter : public benchmark::ConsoleReporter {
     double cpuTime = 0.0;
     std::string timeUnit;
     std::int64_t iterations = 0;
-    std::vector<std::pair<std::string, double>> counters;
+    benchmark::UserCounters counters;
   };
 
   void ReportRuns(const std::vector<Run>& reports) override {
@@ -318,10 +325,7 @@ class CollectingReporter : public benchmark::ConsoleReporter {
       Captured captured{run.benchmark_name(), run.GetAdjustedRealTime(),
                         run.GetAdjustedCPUTime(),
                         benchmark::GetTimeUnitString(run.time_unit),
-                        run.iterations,
-                        {}};
-      for (const auto& [name, counter] : run.counters)
-        captured.counters.emplace_back(name, counter.value);
+                        run.iterations, run.counters};
       captured_.push_back(std::move(captured));
     }
     ConsoleReporter::ReportRuns(reports);
@@ -405,27 +409,35 @@ int main(int argc, char** argv) {
   CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
+  // Times, iteration counts and rate counters (per second of measured
+  // time) depend on the machine: they go to host.series.microbenchmarks,
+  // one point per series point.
   using vs07::Json;
   Json points = Json::array();
+  Json hostPoints = Json::array();
   for (const auto& run : reporter.captured()) {
-    Json point = Json::object()
-                     .set("name", run.name)
-                     .set("real_time", run.realTime)
-                     .set("cpu_time", run.cpuTime)
-                     .set("time_unit", run.timeUnit)
-                     .set("iterations", run.iterations);
-    if (!run.counters.empty()) {
-      Json counters = Json::object();
-      for (const auto& [name, value] : run.counters)
-        counters.set(name, value);
-      point.set("counters", std::move(counters));
-    }
-    points.push(std::move(point));
+    Json counters = Json::object();
+    Json rates = Json::object();
+    for (const auto& [name, counter] : run.counters)
+      (counter.flags & benchmark::Counter::kIsRate ? rates : counters)
+          .set(name, counter.value);
+    points.push(Json::object()
+                    .set("name", run.name)
+                    .set("time_unit", run.timeUnit)
+                    .set("counters", std::move(counters)));
+    hostPoints.push(Json::object()
+                        .set("name", run.name)
+                        .set("real_time", run.realTime)
+                        .set("cpu_time", run.cpuTime)
+                        .set("iterations", run.iterations)
+                        .set("rates", std::move(rates)));
   }
   report.addSeries(Json::object()
                        .set("label", "microbenchmarks")
                        .set("kind", "micro")
                        .set("points", std::move(points)));
+  report.addHostSeries("microbenchmarks",
+                       Json::object().set("points", std::move(hostPoints)));
   report.write(scale);
   benchmark::Shutdown();
 
@@ -438,14 +450,14 @@ int main(int argc, char** argv) {
     const bool kernel = run.name.rfind("BM_RingBandSelect", 0) == 0;
     if (!sharded && !kernel) continue;
     const char* counter = sharded ? "allocs_per_cycle" : "allocs_per_call";
-    for (const auto& [name, value] : run.counters)
-      if (name == counter && value != 0.0) {
-        std::fprintf(stderr,
-                     "FAIL: %s: %s = %.2f in steady state (must be "
-                     "allocation-free)\n",
-                     run.name.c_str(), counter, value);
-        allocFree = false;
-      }
+    const auto it = run.counters.find(counter);
+    if (it != run.counters.end() && it->second.value != 0.0) {
+      std::fprintf(stderr,
+                   "FAIL: %s: %s = %.2f in steady state (must be "
+                   "allocation-free)\n",
+                   run.name.c_str(), counter, it->second.value);
+      allocFree = false;
+    }
   }
   return allocFree ? 0 : 1;
 }

@@ -53,7 +53,7 @@ enum class Overlays {
 };
 
 struct Figure {
-  int number;
+  const char* name;   ///< the --figure value: "6" .. "13"
   const char* bench;  ///< the JSON record's "bench" name
   const char* title;
   const char* paperNote;
@@ -61,6 +61,7 @@ struct Figure {
   std::uint32_t quickRuns;
   Kind kind;
   Overlays overlays;
+  std::vector<std::string> flags;  ///< figure-specific flags it reads
 };
 
 const Figure kFigures[] = {
@@ -71,57 +72,57 @@ const Figure kFigures[] = {
     // RINGCAST is exactly 0 for every F. RANDCAST complete
     // disseminations transit steeply from 0% (F<=5) to 100% (F>=11);
     // RINGCAST sits at 100% everywhere.
-    {6, "fig06_static_effectiveness",
+    {"6", "fig06_static_effectiveness",
      "Fig. 6: static failure-free effectiveness vs fanout",
      "RandCast miss ratio falls exponentially in F; RingCast misses "
      "nothing at any F; complete disseminations 0->100% around F=7..11 "
      "for RandCast, always 100% for RingCast",
-     2'500, 25, Kind::kMissAndComplete, Overlays::kStatic},
+     2'500, 25, Kind::kMissAndComplete, Overlays::kStatic, {}},
     // Fig. 7 — the percentage of nodes not yet reached after each hop
     // (log scale in the paper). Expected: the two protocols track each
     // other for the first hops (exponential spreading) and split once
     // ~80-90% of nodes are reached: RANDCAST flattens into a residue at
     // low F while RINGCAST drains to zero, reaching the last node in
     // fewer hops. Higher fanout compresses the whole curve.
-    {7, "fig07_static_progress",
+    {"7", "fig07_static_progress",
      "Fig. 7: per-hop dissemination progress (static, failure-free)",
      "protocols track each other until ~80-90% coverage, then RingCast "
      "drains to 0 while RandCast leaves a residue at low F; higher F = "
      "fewer hops",
-     2'500, 25, Kind::kProgressRanges, Overlays::kStatic},
+     2'500, 25, Kind::kProgressRanges, Overlays::kStatic, {}},
     // Fig. 8 — messages per dissemination, split into those reaching
     // "virgin" (not-yet-notified) nodes and redundant ones, from Fig. 6's
     // sweep. Expected (10k nodes): total ≈ F × N_hit, of which ≈ N_hit
     // are virgin and (F-1) × N_hit redundant. The two protocols' stacks
     // are practically identical except at low fanout, where RANDCAST does
     // not reach everyone (smaller N_hit).
-    {8, "fig08_message_overhead",
+    {"8", "fig08_message_overhead",
      "Fig. 8: message overhead split (virgin vs redundant) vs fanout",
      "total = F x N_hit; N_hit virgin + (F-1) x N_hit redundant; "
      "protocols identical except at low F where RandCast reaches fewer "
      "nodes",
-     2'500, 25, Kind::kOverhead, Overlays::kStatic},
+     2'500, 25, Kind::kOverhead, Overlays::kStatic, {}},
     // Fig. 9 — effectiveness after catastrophic failures killing 1%, 2%,
     // 5% and 10% of the nodes at once, gossip stalled (no self-healing).
     // Expected: RINGCAST beats RANDCAST at every failure volume; the gap
     // narrows as the failure grows, but even at 10% dead RINGCAST's miss
     // ratio stays about an order of magnitude lower, and its
     // complete-dissemination share is far higher at small fanouts.
-    {9, "fig09_catastrophic_effectiveness",
+    {"9", "fig09_catastrophic_effectiveness",
      "Fig. 9: effectiveness after catastrophic failure (1/2/5/10% dead)",
      "RingCast keeps ~an order of magnitude lower miss ratio; gap "
      "narrows as the failure volume grows; no healing allowed",
-     2'500, 20, Kind::kMissAndComplete, Overlays::kFailureVolumes},
+     2'500, 20, Kind::kMissAndComplete, Overlays::kFailureVolumes, {}},
     // Fig. 10 — per-hop progress after a catastrophic failure killing 5%
     // of the nodes (no healing). Expected: same anatomy as Fig. 7
     // (exponential spreading, then the tail), shifted up by the damage:
     // RANDCAST's residue is larger, RINGCAST still drains almost
     // everything, and the fanout-latency relation is preserved.
-    {10, "fig10_catastrophic_progress",
+    {"10", "fig10_catastrophic_progress",
      "Fig. 10: per-hop progress after a 5% catastrophic failure",
      "same shape as Fig. 7 with a larger RandCast residue; RingCast "
      "still reaches almost everyone and finishes in fewer hops",
-     2'500, 25, Kind::kProgress, Overlays::kFivePercentDead},
+     2'500, 25, Kind::kProgress, Overlays::kFivePercentDead, {}},
     // Fig. 11 — effectiveness under continuous churn (0.2% of the
     // population replaced per cycle by default; the rate Saroiu et al.
     // measured on Gnutella at a 10s gossip period). Expected: RINGCAST's
@@ -129,22 +130,23 @@ const Figure kFigures[] = {
     // slightly *worse* for F >= 6 (its misses concentrate on fresh
     // joiners, see Fig. 13); neither protocol achieves complete
     // disseminations except at extreme fanouts.
-    {11, "fig11_churn_effectiveness",
+    {"11", "fig11_churn_effectiveness",
      "Fig. 11: effectiveness vs fanout under continuous churn",
      "RingCast better at F=2..5, slightly worse at F>=6 (misses are "
      "concentrated on fresh joiners); almost no complete disseminations",
-     800, 25, Kind::kMissAndComplete, Overlays::kChurned},
+     800, 25, Kind::kMissAndComplete, Overlays::kChurned, {"churn"}},
     // Fig. 12 — the distribution of node lifetimes at freeze time, summed
     // over independent churn experiments (log-log in the paper).
     // Expected (10k nodes, 0.2%/cycle): counts per lifetime are capped by
     // the churn batch size (20 nodes/cycle at paper scale) for young
     // lifetimes and fall off geometrically for old ones — a plateau
     // followed by an exponential-looking tail on log-log axes.
-    {12, "fig12_lifetime_distribution",
+    {"12", "fig12_lifetime_distribution",
      "Fig. 12: distribution of node lifetimes under churn",
      "counts plateau at the per-cycle churn batch size for young nodes "
      "and decay geometrically for old ones (log-log)",
-     800, 1, Kind::kLifetimes, Overlays::kChurnedNetworks},
+     800, 1, Kind::kLifetimes, Overlays::kChurnedNetworks,
+     {"churn", "experiments"}},
     // Fig. 13 — lifetimes of the nodes NOT notified by disseminations
     // under churn, fanouts 3 and 6, both protocols (log-log in the
     // paper). Expected: misses concentrate on nodes younger than ~20-30
@@ -152,26 +154,14 @@ const Figure kFigures[] = {
     // RANDCAST (it spends F-2 instead of F forwards on r-links, and
     // joiners have no incoming d-links yet) but almost none of the older
     // ones, where RANDCAST keeps missing at every age.
-    {13, "fig13_nonnotified_lifetimes",
+    {"13", "fig13_nonnotified_lifetimes",
      "Fig. 13: lifetimes of non-notified nodes under churn (F=3 and F=6)",
      "misses concentrate on nodes younger than ~20-30 cycles; RingCast "
      "misses more of the very young but nearly none of the old nodes; "
      "RandCast misses at every age",
-     800, 50, Kind::kMissLifetimes, Overlays::kChurnedNetworks},
+     800, 50, Kind::kMissLifetimes, Overlays::kChurnedNetworks,
+     {"churn", "experiments"}},
 };
-
-bool readsChurn(const Figure& figure) {
-  return figure.overlays == Overlays::kChurned ||
-         figure.overlays == Overlays::kChurnedNetworks;
-}
-
-bool readsExperiments(const Figure& figure) {
-  return figure.overlays == Overlays::kChurnedNetworks;
-}
-
-void printTable(const Table& table, bool csv) {
-  std::fputs((csv ? table.renderCsv() : table.render()).c_str(), stdout);
-}
 
 /// One overlay of a figure, with the seed its sweeps derive from.
 struct Setting {
@@ -236,7 +226,7 @@ void printMissAndComplete(const std::vector<analysis::EffectivenessPoint>& rand,
                   fmtLog(ring[i].avgMissPercent),
                   fmt(rand[i].completePercent, 1),
                   fmt(ring[i].completePercent, 1)});
-  printTable(table, csv);
+  bench::printTable(table, csv);
   std::printf("\n");
 }
 
@@ -252,7 +242,7 @@ void printOverhead(const char* name,
                   fmt(p.avgVirgin, 0), fmt(p.avgRedundant, 0),
                   fmt(share, 3)});
   }
-  printTable(table, csv);
+  bench::printTable(table, csv);
   std::printf("\n");
 }
 
@@ -325,7 +315,7 @@ void runProgress(const Figure& figure, const bench::Scale& scale,
         }
         table.addRow(std::move(row));
       }
-      printTable(table, scale.csv);
+      bench::printTable(table, scale.csv);
       std::printf("\n");
     }
   });
@@ -368,7 +358,7 @@ void printMissPair(const char* title, const CountHistogram& randHist,
     table.addRow(
         {label, std::to_string(randCount), std::to_string(ringCount)});
   }
-  printTable(table, csv);
+  bench::printTable(table, csv);
   std::printf("totals: randcast %llu, ringcast %llu\n",
               static_cast<unsigned long long>(randHist.total()),
               static_cast<unsigned long long>(ringHist.total()));
@@ -447,44 +437,13 @@ void runChurnExperiments(const Figure& figure, const bench::Scale& scale,
         bench::histogramSeries(kMissStudies[i].label, aggregate[i]));
 }
 
-// -- command line --------------------------------------------------------
-
-std::string description() {
-  std::string text =
-      "Figs. 6-13 of Voulgaris & van Steen (Middleware 2007); --figure N "
-      "regenerates one of them:";
-  for (const auto& figure : kFigures)
-    text += "\n  " + std::string(figure.title);
-  return text;
-}
-
-/// The --figure row. A missing or unknown number, or a flag the figure
-/// does not read, prints the error and exits 2.
-const Figure& figureOrExit(const CliArgs& args) {
-  const auto number = argOrExit([&] { return args.getUint("figure", 0); });
-  const Figure* chosen = nullptr;
-  for (const auto& figure : kFigures)
-    if (static_cast<std::uint64_t>(figure.number) == number) chosen = &figure;
-  if (chosen == nullptr) {
-    std::fprintf(stderr, "--figure must be one of 6..13 (got %s)\n",
-                 args.get("figure").value_or("none").c_str());
-    std::exit(2);
-  }
-  for (const auto& [flag, read] :
-       {std::pair{"churn", readsChurn(*chosen)},
-        std::pair{"experiments", readsExperiments(*chosen)}})
-    if (!read && args.has(flag)) {
-      std::fprintf(stderr, "--%s does not apply to --figure %d\n", flag,
-                   chosen->number);
-      std::exit(2);
-    }
-  return *chosen;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto parser = bench::makeParser(description());
+  auto parser = bench::makeParser(bench::studiesDescription(
+      "Figs. 6-13 of Voulgaris & van Steen (Middleware 2007); --figure N "
+      "regenerates one of them:",
+      kFigures));
   parser.option("figure", "the figure to regenerate: 6..13 (required)")
       .option("churn", "churn rate per cycle, in (0, 1) (Figs. 11-13; "
                        "default 0.002)")
@@ -492,16 +451,18 @@ int main(int argc, char** argv) {
                              "(Figs. 12-13; default 2; paper used 100)");
   const auto args = parser.parseOrExit(argc, argv);
   if (!args) return 0;
-  const Figure& figure = figureOrExit(*args);
+  const Figure& figure = bench::rowOrExit(*args, "figure", kFigures);
+  const bool readsChurn = bench::reads(figure, "churn");
+  const bool readsExperiments = bench::reads(figure, "experiments");
   const auto scale =
       bench::resolveScale(*args, figure.quickNodes, figure.quickRuns,
                           bench::DefaultScale::kPaper);
   const double churnRate =
-      readsChurn(figure)
+      readsChurn
           ? argOrExit([&] { return args->getRate("churn", 0.002); })
           : 0.0;
   const auto experiments =
-      readsExperiments(figure)
+      readsExperiments
           ? argOrExit([&] {
               return args->getPositiveUint32("experiments", 2);
             })
@@ -509,8 +470,8 @@ int main(int argc, char** argv) {
 
   bench::printHeader(figure.title, figure.paperNote, scale);
   bench::JsonReport report(figure.bench, scale);
-  if (readsChurn(figure)) report.setParam("churn_rate", churnRate);
-  if (readsExperiments(figure)) report.setParam("experiments", experiments);
+  if (readsChurn) report.setParam("churn_rate", churnRate);
+  if (readsExperiments) report.setParam("experiments", experiments);
   auto sweep = bench::makeSweep(scale);
 
   switch (figure.kind) {

@@ -147,8 +147,7 @@ int main(int argc, char** argv) {
     rounds.push(static_cast<std::uint64_t>(h));
     coverage.push(curve[h]);
   }
-  std::fputs((scale.csv ? table.renderCsv() : table.render()).c_str(),
-             stdout);
+  bench::printTable(table, scale.csv);
   std::printf("complete: %.1f%% of runs, avg last hop %.2f\n",
               completePercent, avgLastHop);
 

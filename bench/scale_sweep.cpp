@@ -159,27 +159,39 @@ int run(const bench::Scale& scale, const std::vector<std::uint32_t>& axis,
                   fmt(r.missPercent, 4), std::to_string(r.lastHop),
                   fmt(static_cast<double>(r.peakRssBytes) / (1024.0 * 1024.0),
                       1)});
-  std::fputs((scale.csv ? table.renderCsv() : table.render()).c_str(),
-             stdout);
+  bench::printTable(table, scale.csv);
 
+  // The timings, rates and RSS samples go to host.series.scale, as
+  // arrays parallel to the points.
   Json points = Json::array();
-  for (const auto& r : results)
+  Json warmupSeconds = Json::array();
+  Json rates = Json::array();
+  Json disseminateSeconds = Json::array();
+  Json rss = Json::array();
+  for (const auto& r : results) {
     points.push(Json::object()
                     .set("nodes", r.nodes)
                     .set("warmup_cycles", r.warmupCycles)
                     .set("measured_cycles", r.measuredCycles)
-                    .set("warmup_seconds", r.warmupSeconds)
-                    .set("node_cycles_per_sec", r.nodeCyclesPerSec)
                     .set("allocs_per_cycle", r.allocsPerCycle)
                     .set("messages_per_cycle", r.messagesPerCycle)
                     .set("ringcast_miss_percent", r.missPercent)
-                    .set("ringcast_last_hop", r.lastHop)
-                    .set("disseminate_seconds", r.disseminateSeconds)
-                    .set("peak_rss_bytes", r.peakRssBytes));
+                    .set("ringcast_last_hop", r.lastHop));
+    warmupSeconds.push(r.warmupSeconds);
+    rates.push(r.nodeCyclesPerSec);
+    disseminateSeconds.push(r.disseminateSeconds);
+    rss.push(r.peakRssBytes);
+  }
   report.addSeries(Json::object()
                        .set("label", "scale")
                        .set("kind", "scale")
                        .set("points", std::move(points)));
+  report.addHostSeries(
+      "scale", Json::object()
+                   .set("warmup_seconds", std::move(warmupSeconds))
+                   .set("node_cycles_per_sec", std::move(rates))
+                   .set("disseminate_seconds", std::move(disseminateSeconds))
+                   .set("peak_rss_bytes", std::move(rss)));
   report.write(scale);
   return scalingOk ? 0 : 1;
 }

@@ -267,10 +267,12 @@ void rateSweep(const bench::Scale& scale, analysis::ParallelSweep& sweep,
               .set("timing", bench::JsonReport::timingJson(trafficTiming()))
               .set("publish_rate_per_cycle", rateAxis)
               .set("delivered_per_node_per_cycle", std::move(delivered))
-              .set("msgs_per_sec_per_node", std::move(wallRate))
               .set("redundancy_ratio", std::move(redundancy))
               .set("completed_percent", std::move(completed))
               .set("tracked_in_flight_max", std::move(trackedMax)));
+      report.addHostSeries(
+          "throughput:" + label,
+          Json::object().set("msgs_per_sec_per_node", std::move(wallRate)));
       report.addSeries(
           Json::object()
               .set("label", "latency:" + label)
@@ -285,8 +287,7 @@ void rateSweep(const bench::Scale& scale, analysis::ParallelSweep& sweep,
               .set("mean_ticks", std::move(mean)));
     }
   }
-  std::fputs((scale.csv ? table.renderCsv() : table.render()).c_str(),
-             stdout);
+  bench::printTable(table, scale.csv);
 
   // Per-strategy totals, folded with SteadyStateStats::merge in
   // canonical cell-index order — the same reduction discipline the
@@ -418,11 +419,13 @@ bool memoryFrontier(const bench::Scale& scale, bench::JsonReport& report) {
           .set("published_total", steady2.published)
           .set("tracked_in_flight_max", steady2.peakTracked)
           .set("tracked_bitmap_bytes_max", steady2.peakTrackedBitmapBytes)
-          .set("peak_rss_bytes_epoch1", rssEpoch1)
-          .set("peak_rss_bytes_epoch2", rssEpoch2)
           .set("retired_completed", steady2.retiredCompleted)
           .set("retired_aged_out", steady2.retiredAgedOut)
           .set("bounded", bounded));
+  report.addHostSeries("memory_frontier",
+                       Json::object()
+                           .set("peak_rss_bytes_epoch1", rssEpoch1)
+                           .set("peak_rss_bytes_epoch2", rssEpoch2));
   return bounded;
 }
 

@@ -190,14 +190,10 @@ int run(const bench::Scale& scale, const std::vector<Model>& models,
   std::printf("\n--- miss ratio vs fanout, per timing model ---\n");
   Table effectiveness(std::move(effectivenessHeader));
   for (const auto& row : cells) effectiveness.addRow(row);
-  std::fputs(
-      (scale.csv ? effectiveness.renderCsv() : effectiveness.render())
-          .c_str(),
-      stdout);
+  bench::printTable(effectiveness, scale.csv);
   if (engineThreads == 0) {
     std::printf("\n--- live RingCast wave (F=3) per timing model ---\n");
-    std::fputs((scale.csv ? waves.renderCsv() : waves.render()).c_str(),
-               stdout);
+    bench::printTable(waves, scale.csv);
   }
 
   report.write(scale);

@@ -3,12 +3,20 @@
 
 Every bench invoked with --json PATH writes one record. This checker is
 the machine-readable contract: it fails (exit 1) if a file does not
-parse, misses a required key, or carries a malformed scale/series
+parse, misses a required key, or carries a malformed scale/series/host
 section. CI runs it over every bench's --quick output.
+
+Everything in a record that depends on the machine or the clock lives in
+its top-level "host" object: wall-clock time, peak RSS, the worker and
+hardware thread counts, and, under host.series.<label>, the timings,
+rates and RSS samples of a series. A timing, rate or RSS key anywhere
+else fails the record, so that with "host" removed two runs of one
+commit give equal records.
 
 Usage: check_bench_json.py FILE [FILE...]
 """
 import json
+import re
 import sys
 
 REQUIRED_TOP_LEVEL = {
@@ -16,13 +24,19 @@ REQUIRED_TOP_LEVEL = {
     "schema_version": int,
     "scale": dict,
     "seed": int,
-    "threads": int,
     "timing": dict,
-    "wall_clock_seconds": (int, float),
-    "wall_clock_ms": (int, float),
-    "peak_rss_bytes": int,
     "series": list,
+    "host": dict,
 }
+REQUIRED_HOST = {
+    "wall_clock_seconds": (int, float),
+    "peak_rss_bytes": int,
+    "threads": int,
+}
+# Key names that carry a time, a rate or a resident-set size: allowed
+# only inside "host".
+HOST_KEY = re.compile(
+    r".*_seconds$|.*_per_sec.*|peak_rss.*|real_time$|cpu_time$|iterations$")
 REQUIRED_SCALE = {
     "nodes": int,
     "runs": int,
@@ -57,13 +71,13 @@ PARALLEL_ARRAY_KINDS = {
                        "sim_coverage_percent", "abs_delta_percent"],
     # sustained multi-message traffic (bench/sustained_traffic)
     "throughput": ["publish_rate_per_cycle", "delivered_per_node_per_cycle",
-                   "msgs_per_sec_per_node", "redundancy_ratio",
-                   "completed_percent", "tracked_in_flight_max"],
+                   "redundancy_ratio", "completed_percent",
+                   "tracked_in_flight_max"],
     "latency_percentiles": ["publish_rate_per_cycle", "p50_ticks",
                             "p99_ticks", "mean_ticks"],
-    # sharded-engine scaling (bench/scale_sweep --engine-threads)
-    "thread_scaling": ["threads", "node_cycles_per_sec", "speedup_vs_1",
-                       "peak_rss_bytes"],
+    # sharded-engine scaling (bench/scale_sweep --engine-threads); the
+    # measured arrays parallel to the axis live in host.series.<label>
+    "thread_scaling": ["threads"],
     # search workloads over the frozen overlays (bench/search_workload)
     "search_sweep": ["ttl", "hit_rate_percent", "cache_hit_percent",
                      "avg_hops_to_hit", "messages_per_query"],
@@ -99,9 +113,22 @@ def fail(path, message):
     return False
 
 
-def check_thread_scaling(path, entry, i):
-    """Semantic checks on one thread_scaling series (arrays already
-    validated as equal-length non-empty lists)."""
+def host_keys_outside_host(value, where):
+    """Yields the path of every timing/rate/RSS key under `value`."""
+    if isinstance(value, dict):
+        for key, child in value.items():
+            if HOST_KEY.match(key):
+                yield f"{where}.{key}"
+            yield from host_keys_outside_host(child, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from host_keys_outside_host(child, f"{where}[{i}]")
+
+
+def check_thread_scaling(path, entry, host, i):
+    """Semantic checks on one thread_scaling series: its threads axis
+    (already validated as a non-empty list) and the measured arrays in
+    host.series.<label>."""
     threads = entry["threads"]
     if any(not isinstance(t, int) or t < 1 for t in threads):
         return fail(path, f"series[{i}] threads must be positive integers: "
@@ -112,11 +139,20 @@ def check_thread_scaling(path, entry, i):
     if threads[0] != 1:
         return fail(path, f"series[{i}] thread axis must start at 1 "
                           f"(the speedup baseline), got {threads[0]}")
-    rates = entry["node_cycles_per_sec"]
+    measured = host.get("series", {}).get(entry["label"])
+    if not isinstance(measured, dict):
+        return fail(path, f"series[{i}] (thread_scaling) has no "
+                          f"host.series['{entry['label']}'] object")
+    for key in ("node_cycles_per_sec", "speedup_vs_1", "peak_rss_bytes"):
+        if not isinstance(measured.get(key), list) or \
+                len(measured[key]) != len(threads):
+            return fail(path, f"host.series['{entry['label']}'].{key} must "
+                              f"be a list parallel to the threads axis")
+    rates = measured["node_cycles_per_sec"]
     if any(not isinstance(r, (int, float)) or r <= 0 for r in rates):
         return fail(path, f"series[{i}] node_cycles_per_sec must be "
                           f"positive: {rates}")
-    speedups = entry["speedup_vs_1"]
+    speedups = measured["speedup_vs_1"]
     if abs(speedups[0] - 1.0) > 1e-9:
         return fail(path, f"series[{i}] speedup_vs_1[0] must be 1.0 "
                           f"(it is its own baseline), got {speedups[0]}")
@@ -147,20 +183,27 @@ def check(path):
         if not isinstance(record["scale"][key], kind):
             return fail(path, f"key 'scale.{key}' has type "
                               f"{type(record['scale'][key]).__name__}")
-    if record["threads"] < 1:
-        return fail(path, f"threads must be >= 1, got {record['threads']}")
+    host = record["host"]
+    for key, kind in REQUIRED_HOST.items():
+        if key not in host:
+            return fail(path, f"missing required key 'host.{key}'")
+        if not isinstance(host[key], kind) or isinstance(host[key], bool):
+            return fail(path, f"key 'host.{key}' has type "
+                              f"{type(host[key]).__name__}")
+    if host["wall_clock_seconds"] < 0:
+        return fail(path, "host.wall_clock_seconds is negative")
+    if host["peak_rss_bytes"] < 0:
+        return fail(path, "host.peak_rss_bytes is negative")
+    if host["threads"] < 1:
+        return fail(path, f"host.threads must be >= 1, got "
+                          f"{host['threads']}")
+    if not isinstance(host.get("series", {}), dict):
+        return fail(path, "host.series is not an object")
     if not check_timing(path, record["timing"], "timing"):
         return False
-    if record["wall_clock_seconds"] < 0:
-        return fail(path, "wall_clock_seconds is negative")
-    if record["wall_clock_ms"] < 0:
-        return fail(path, "wall_clock_ms is negative")
-    # The two clocks are the same stopwatch in different units.
-    if abs(record["wall_clock_ms"] - record["wall_clock_seconds"] * 1000.0) \
-            > max(1.0, record["wall_clock_ms"] * 0.01):
-        return fail(path, "wall_clock_ms disagrees with wall_clock_seconds")
-    if record["peak_rss_bytes"] < 0:
-        return fail(path, "peak_rss_bytes is negative")
+    for where in host_keys_outside_host(
+            {k: v for k, v in record.items() if k != "host"}, "record"):
+        return fail(path, f"host-dependent key {where} outside 'host'")
     if not record["series"]:
         return fail(path, "series is empty")
     for i, entry in enumerate(record["series"]):
@@ -193,7 +236,7 @@ def check(path):
                 return fail(path, f"series[{i}] ({entry['kind']}) parallel "
                                   f"arrays disagree in length: {lengths}")
         if entry["kind"] == "thread_scaling":
-            if not check_thread_scaling(path, entry, i):
+            if not check_thread_scaling(path, entry, host, i):
                 return False
     # Benches emitting per-timing-mode scaling sweeps (timing_sensitivity
     # --engine-threads) must label each one distinctly, or consumers
@@ -203,11 +246,15 @@ def check(path):
     if len(scaling_labels) != len(set(scaling_labels)):
         return fail(path, f"duplicate thread_scaling labels: "
                           f"{sorted(scaling_labels)}")
+    labels = {entry["label"] for entry in record["series"]}
+    for label in host.get("series", {}):
+        if label not in labels:
+            return fail(path, f"host.series['{label}'] names no series")
     print(f"OK   {path}: bench={record['bench']} "
           f"series={len(record['series'])} "
-          f"threads={record['threads']} "
-          f"wall_clock={record['wall_clock_seconds']:.2f}s "
-          f"peak_rss={record['peak_rss_bytes'] / (1 << 20):.0f}MiB")
+          f"threads={host['threads']} "
+          f"wall_clock={host['wall_clock_seconds']:.2f}s "
+          f"peak_rss={host['peak_rss_bytes'] / (1 << 20):.0f}MiB")
     return True
 
 

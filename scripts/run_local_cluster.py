@@ -150,13 +150,9 @@ def emit_record(args, real_curve, sim_curve, deltas, statuses, publishes,
         "scale": {"nodes": args.nodes, "runs": publishes,
                   "paper": False, "quick": args.quick},
         "seed": args.seed,
-        "threads": 1,
         # The cluster's wall-clock analogue of the sim's jittered timers.
         "timing": {"mode": "jittered", "ticks_per_cycle": 8,
                    "latency": "none"},
-        "wall_clock_seconds": wall_seconds,
-        "wall_clock_ms": wall_seconds * 1000.0,
-        "peak_rss_bytes": max(s["peak_rss_bytes"] for s in statuses),
         "cycle_ms": args.cycle_ms,
         "delivery_percent": delivery_percent,
         "datagrams_sent": sum(s["datagrams_sent"] for s in statuses),
@@ -178,6 +174,13 @@ def emit_record(args, real_curve, sim_curve, deltas, statuses, publishes,
              "sim_coverage_percent": sim_curve[:len(rounds)],
              "abs_delta_percent": deltas},
         ],
+        # Machine- and clock-dependent values, as in every bench record.
+        "host": {
+            "wall_clock_seconds": wall_seconds,
+            "peak_rss_bytes": max(s["peak_rss_bytes"] for s in statuses),
+            "threads": 1,
+            "hardware_threads": os.cpu_count() or 1,
+        },
     }
     with open(args.json, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=2)

@@ -60,6 +60,20 @@ inline sim::TimingConfig timingPreset(std::size_t choice) {
   }
 }
 
+/// Stopwatch for phase timing lines.
+class Stopwatch {
+ public:
+  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
+  double seconds() const {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start_)
+        .count();
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+};
+
 /// Experiment scale resolved from the command line.
 struct Scale {
   std::uint32_t nodes = 0;
@@ -73,6 +87,10 @@ struct Scale {
   /// --timing: engine timing model scenarios are built with.
   sim::TimingConfig timing{};
   std::string timingName = "cyclesync";
+  /// Started when the scale is resolved, right after argument parsing:
+  /// the record's host.wall_clock_seconds, so every bench times its whole
+  /// run however late it builds its JsonReport.
+  Stopwatch sinceStart{};
 };
 
 /// Which scale a bench runs at when neither --paper nor --quick is given.
@@ -209,20 +227,6 @@ const Row& rowOrExit(const CliArgs& args, const std::string& selector,
   return chosen;
 }
 
-/// Stopwatch for phase timing lines.
-class Stopwatch {
- public:
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// The fanout axis of the paper's effectiveness figures (1..20).
 inline std::vector<std::uint32_t> fullFanoutAxis() {
   std::vector<std::uint32_t> fanouts;
@@ -277,7 +281,7 @@ inline analysis::Scenario buildChurned(const Scale& scale, double rate,
 ///
 /// Everything that depends on the machine or the clock lives in one
 /// top-level "host" object: the wall-clock time (measured from
-/// construction to write()), peak RSS, the --threads worker count, the
+/// Scale::sinceStart to write()), peak RSS, the --threads worker count, the
 /// hardware thread count, and, under host.series.<label>, the timings,
 /// rates and RSS samples of individual series. With "host" removed, a
 /// record is identical across runs, hosts and --threads values.
@@ -326,7 +330,7 @@ class JsonReport {
   void write(const Scale& scale) {
     if (scale.jsonPath.empty()) return;
     Json host = Json::object()
-                    .set("wall_clock_seconds", timer_.seconds())
+                    .set("wall_clock_seconds", scale.sinceStart.seconds())
                     .set("peak_rss_bytes", peakRssBytes())
                     .set("threads", scale.threads)
                     .set("hardware_threads", TaskPool::defaultThreads());
@@ -344,7 +348,6 @@ class JsonReport {
   }
 
  private:
-  Stopwatch timer_;
   Json root_;
   Json series_;
   Json hostSeries_;

@@ -17,7 +17,7 @@ std::vector<std::vector<std::uint32_t>> aliveAdjacency(
   std::vector<std::vector<std::uint32_t>> adjacency(aliveIds.size());
   for (std::uint32_t i = 0; i < aliveIds.size(); ++i) {
     const NodeId id = aliveIds[i];
-    auto addLinks = [&](std::span<const NodeId> targets) {
+    auto addEdges = [&](std::span<const NodeId> targets) {
       for (const NodeId t : targets) {
         if (t >= snapshot.totalIds() || !snapshot.isAlive(t)) continue;
         const std::uint32_t j = index[t];
@@ -27,8 +27,8 @@ std::vector<std::vector<std::uint32_t>> aliveAdjacency(
           adjacency[i].push_back(j);
       }
     };
-    if (links.dlinks) addLinks(snapshot.dlinks(id));
-    if (links.rlinks) addLinks(snapshot.rlinks(id));
+    if (links.dlinks) addEdges(snapshot.dlinks(id));
+    if (links.rlinks) addEdges(snapshot.rlinks(id));
   }
   return adjacency;
 }

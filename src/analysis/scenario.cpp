@@ -385,17 +385,13 @@ ScenarioBuilder& ScenarioBuilder::latency(sim::LatencyModel model) {
   config_.timing.latency = model;
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::network(sim::NetworkConditions conditions) {
-  config_.network = std::move(conditions);
-  return *this;
-}
 ScenarioBuilder& ScenarioBuilder::linkLoss(double lossRate) {
   VS07_EXPECT(lossRate >= 0.0 && lossRate <= 1.0);
   config_.network.lossRate = lossRate;
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::burstLoss(
-    sim::GilbertElliottLink::Params params) {
+    sim::NetworkConditions::BurstLoss params) {
   config_.network.burstLoss = true;
   config_.network.burst = params;
   return *this;

@@ -305,13 +305,10 @@ class ScenarioBuilder {
   //    with a NetworkModel attached; they compose freely with each
   //    other and with either timing mode. ------------------------------
 
-  /// Wholesale replacement of the accumulated network conditions.
-  ScenarioBuilder& network(sim::NetworkConditions conditions);
   /// Per-crossing Bernoulli loss on every link.
   ScenarioBuilder& linkLoss(double lossRate);
   /// Bursty Gilbert-Elliott loss (per-directed-link Markov chains).
-  ScenarioBuilder& burstLoss(
-      sim::GilbertElliottLink::Params params = {});
+  ScenarioBuilder& burstLoss(sim::NetworkConditions::BurstLoss params = {});
   /// Per-crossing duplication probability.
   ScenarioBuilder& duplication(double rate);
   /// Per-crossing reordering: probability of 1..maxExtraTicks jitter.
@@ -324,7 +321,7 @@ class ScenarioBuilder {
                                   sim::LatencyModel inter);
   /// Per-node egress bandwidth cap in messages per tick (FIFO queueing).
   ScenarioBuilder& egressCap(std::uint32_t messagesPerTick);
-  /// Engages the link chain and bandwidth cap only from engine cycle
+  /// Engages the link conditions and bandwidth cap only from engine cycle
   /// `cycle` on (links are clean before it) — the §7 methodology knob:
   /// self-organise undisturbed, then degrade. Partition windows keep
   /// their own schedule; cluster latency is never gated.

@@ -27,19 +27,6 @@ void MessageStore::remember(std::uint64_t dataId) {
   }
 }
 
-std::vector<std::uint64_t> MessageStore::digest(std::size_t limit) const {
-  std::vector<std::uint64_t> out;
-  digestInto(limit, out);
-  return out;
-}
-
-void MessageStore::digestInto(std::size_t limit,
-                              std::vector<std::uint64_t>& out) const {
-  const std::size_t take = std::min(limit, buffer_.size());
-  out.assign(buffer_.end() - static_cast<std::ptrdiff_t>(take),
-             buffer_.end());
-}
-
 std::size_t MessageStore::windowInto(std::size_t start, std::size_t limit,
                                      std::vector<std::uint64_t>& out) const {
   out.clear();
@@ -236,48 +223,43 @@ void LiveCast::step(NodeId self) {
   request.reset();
   request.kind = net::MessageKind::PullRequest;
   request.from = self;
-  if (params_.windowedPull) {
-    // Rotating window: advertise a digestLength-wide slice of the
-    // buffer with explicit id bounds, advancing the slice every pull so
-    // successive requests sweep the whole buffer. When the slice
-    // reaches the newest end, the upper bound opens to +inf so brand-new
-    // ids the peer holds are offered too; ids below the lower bound are
-    // outside the requester's recovery horizon (evicted or never
-    // wanted), which keeps steady-state pulls from resurrecting
-    // long-evicted messages.
-    request.flags |= net::kFlagWindowedDigest;
-    auto& store = stores_[self];
-    std::size_t& pos = pullWindowPos_[self];
-    if (pos >= store.size()) pos = 0;
-    const std::size_t took =
-        store.windowInto(pos, params_.digestLength, windowScratch_);
-    std::uint64_t lo = 0;
-    std::uint64_t hi = ~std::uint64_t{0};
-    if (took > 0) {
-      const auto [minIt, maxIt] =
-          std::minmax_element(windowScratch_.begin(), windowScratch_.end());
-      // The slice minimum is a recovery horizon only once this buffer
-      // has actually evicted; before that, "not buffered" provably
-      // means "never received" (a joiner must be able to recover ids
-      // older than everything it holds), so the window opens to 0.
-      // After eviction the bound also clears the ids this buffer already
-      // dropped (eviction is FIFO by arrival, so under latency jumble
-      // an evicted id can exceed the slice minimum): peers must not
-      // waste answers on ids handleData would drop as zombies anyway.
-      if (store.hasEvicted())
-        lo = std::max(*minIt, store.recoveryHorizon() + 1);
-      if (pos + took < store.size()) hi = *maxIt;
-      pos += took;
-    } else {
-      pos = 0;  // empty buffer: want anything — [0, +inf), no digest
-    }
-    request.ids.push_back(lo);
-    request.ids.push_back(hi);
-    request.ids.insert(request.ids.end(), windowScratch_.begin(),
-                       windowScratch_.end());
+  // Rotating window: advertise a digestLength-wide slice of the buffer
+  // with explicit id bounds, advancing the slice every pull so
+  // successive requests sweep the whole buffer. When the slice reaches
+  // the newest end, the upper bound opens to +inf so brand-new ids the
+  // peer holds are offered too; ids below the lower bound are outside
+  // the requester's recovery horizon (evicted or never wanted), which
+  // keeps steady-state pulls from resurrecting long-evicted messages.
+  request.flags |= net::kFlagWindowedDigest;
+  auto& store = stores_[self];
+  std::size_t& pos = pullWindowPos_[self];
+  if (pos >= store.size()) pos = 0;
+  const std::size_t took =
+      store.windowInto(pos, params_.digestLength, windowScratch_);
+  std::uint64_t lo = 0;
+  std::uint64_t hi = ~std::uint64_t{0};
+  if (took > 0) {
+    const auto [minIt, maxIt] =
+        std::minmax_element(windowScratch_.begin(), windowScratch_.end());
+    // The slice minimum is a recovery horizon only once this buffer has
+    // actually evicted; before that, "not buffered" provably means
+    // "never received" (a joiner must be able to recover ids older than
+    // everything it holds), so the window opens to 0. After eviction
+    // the bound also clears the ids this buffer already dropped
+    // (eviction is FIFO by arrival, so under latency jumble an evicted
+    // id can exceed the slice minimum): peers must not waste answers on
+    // ids handleData would drop as zombies anyway.
+    if (store.hasEvicted())
+      lo = std::max(*minIt, store.recoveryHorizon() + 1);
+    if (pos + took < store.size()) hi = *maxIt;
+    pos += took;
   } else {
-    stores_[self].digestInto(params_.digestLength, request.ids);
+    pos = 0;  // empty buffer: want anything — [0, +inf), no digest
   }
+  request.ids.push_back(lo);
+  request.ids.push_back(hi);
+  request.ids.insert(request.ids.end(), windowScratch_.begin(),
+                     windowScratch_.end());
   ++pullsSent_;
   transport_.send(target, std::move(request));
   drainOutbox();  // pull answers may have queued forwards
@@ -462,48 +444,34 @@ void LiveCast::drainOutbox() {
 }
 
 void LiveCast::handlePullRequest(NodeId self, const net::Message& msg) {
-  const auto& have = stores_[self].buffered();
-  if ((msg.flags & net::kFlagWindowedDigest) != 0) {
-    // Windowed digest: [lo, hi] bounds in ids[0..1], the requester's
-    // held ids in ids[2..]. Useful = buffered, inside the bounds, not in
-    // the digest. The budget is spent on a *uniform random* subset of
-    // the useful ids (random-useful selection, Sanghavi et al.): under
-    // many concurrent flows every gap gets equal repair pressure, where
-    // newest-first would starve old gaps behind a stream of fresh ids.
-    if (msg.ids.size() < 2) return;  // malformed
-    const std::uint64_t lo = msg.ids[0];
-    const std::uint64_t hi = msg.ids[1];
-    auto& candidates = pullCandidateScratch_;
-    candidates.clear();
-    for (const std::uint64_t dataId : have) {
-      if (dataId < lo || dataId > hi) continue;
-      if (std::find(msg.ids.begin() + 2, msg.ids.end(), dataId) !=
-          msg.ids.end())
-        continue;
-      candidates.push_back(dataId);
-    }
-    const std::size_t take =
-        std::min<std::size_t>(params_.pullBudget, candidates.size());
-    for (std::size_t i = 0; i < take; ++i) {
-      const std::size_t j =
-          i + rng_.below(candidates.size() - i);
-      std::swap(candidates[i], candidates[j]);
-      enqueueData(msg.from, self, candidates[i], /*hop=*/0, /*viaPull=*/true,
-                  /*recovery=*/false);
-    }
+  // Windowed digest: [lo, hi] bounds in ids[0..1], the requester's held
+  // ids in ids[2..]. Useful = buffered, inside the bounds, not in the
+  // digest. The budget is spent on a *uniform random* subset of the
+  // useful ids (random-useful selection, Sanghavi et al.): under many
+  // concurrent flows every gap gets equal repair pressure, where
+  // newest-first would starve old gaps behind a stream of fresh ids.
+  // A request without the flag or the bounds is malformed outside input
+  // (every LiveCast sends windowed digests): no answer.
+  if ((msg.flags & net::kFlagWindowedDigest) == 0 || msg.ids.size() < 2)
     return;
-  }
-  std::uint32_t sent = 0;
-  // Legacy digest: newest first — fresh messages are the likeliest gaps
-  // worth filling when few ids are in flight.
-  for (auto it = have.rbegin();
-       it != have.rend() && sent < params_.pullBudget; ++it) {
-    const std::uint64_t dataId = *it;
-    if (std::find(msg.ids.begin(), msg.ids.end(), dataId) != msg.ids.end())
+  const std::uint64_t lo = msg.ids[0];
+  const std::uint64_t hi = msg.ids[1];
+  auto& candidates = pullCandidateScratch_;
+  candidates.clear();
+  for (const std::uint64_t dataId : stores_[self].buffered()) {
+    if (dataId < lo || dataId > hi) continue;
+    if (std::find(msg.ids.begin() + 2, msg.ids.end(), dataId) !=
+        msg.ids.end())
       continue;
-    enqueueData(msg.from, self, dataId, /*hop=*/0, /*viaPull=*/true,
+    candidates.push_back(dataId);
+  }
+  const std::size_t take =
+      std::min<std::size_t>(params_.pullBudget, candidates.size());
+  for (std::size_t i = 0; i < take; ++i) {
+    const std::size_t j = i + rng_.below(candidates.size() - i);
+    std::swap(candidates[i], candidates[j]);
+    enqueueData(msg.from, self, candidates[i], /*hop=*/0, /*viaPull=*/true,
                 /*recovery=*/false);
-    ++sent;
   }
 }
 

@@ -66,13 +66,6 @@ class MessageStore {
   /// Records a message; evicts the oldest beyond capacity. No-op if seen.
   void remember(std::uint64_t dataId);
 
-  /// The most recent ids, newest last, at most `limit`.
-  std::vector<std::uint64_t> digest(std::size_t limit) const;
-
-  /// Allocation-free variant: fills `out` (cleared first, capacity
-  /// reused) with the same ids.
-  void digestInto(std::size_t limit, std::vector<std::uint64_t>& out) const;
-
   /// Windowed digest slice: fills `out` (cleared first) with at most
   /// `limit` buffered ids starting at buffer position `start` (0 =
   /// oldest), without wrapping. Returns the number of ids copied.
@@ -286,13 +279,6 @@ class LiveCast final : public sim::CycleProtocol,
     std::uint64_t completedLingerTicks = 0;
     /// Retired CompletedSummary records kept for inspection (FIFO).
     std::uint32_t retainedSummaries = 1024;
-    /// Windowed pull digests: each PullRequest advertises a rotating
-    /// window of the requester's buffer (explicit [lo, hi] id bounds +
-    /// the ids held within), and the answerer picks uniformly at random
-    /// among useful ids in the window (Sanghavi et al.). false = legacy
-    /// newest-`digestLength` digest answered newest-first, which starves
-    /// old gaps once in-flight ids exceed the digest length.
-    bool windowedPull = true;
   };
 
   /// `vicinity` may be null: then forwarding is pure RANDCAST; otherwise

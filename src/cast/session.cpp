@@ -28,7 +28,6 @@ LiveCast::Params liveParams(const CastOptions& options) {
   params.maxTrackedMessages = options.maxTrackedMessages;
   params.completedLingerTicks = options.completedLingerTicks;
   params.retainedSummaries = options.retainedSummaries;
-  params.windowedPull = options.windowedPull;
   return params;
 }
 

@@ -61,9 +61,6 @@ struct CastOptions {
   std::uint64_t completedLingerTicks = 0;
   /// Retired CompletedSummary records kept for inspection.
   std::uint32_t retainedSummaries = 1024;
-  /// Windowed pull digests with random-useful answers (sustained-traffic
-  /// reconciliation); false = legacy newest-`digestLength` digests.
-  bool windowedPull = true;
 };
 
 /// Uniform interface over the snapshot and live dissemination paths.

@@ -1,4 +1,4 @@
-// NetworkModel — composable per-link network conditions, resolved at
+// NetworkModel — per-link network conditions, resolved at
 // delivery-scheduling time.
 //
 // The paper's evaluation models the network as a uniform latency-free
@@ -16,22 +16,26 @@
 //   * Zero allocations on the clean-link fast path: resolving a message
 //     that is neither lost, duplicated, reordered nor queued performs
 //     only RNG draws, array lookups, and counter updates. Only the
-//     adversity paths (duplication's payload copy, Gilbert-Elliott's
-//     lazily grown per-link state) may allocate.
+//     adversity paths (duplication's payload copy, burst loss's lazily
+//     grown per-link state) may allocate.
 //   * Scheduling-time resolution: conditions are applied once, inside
 //     sim::LatencyTransport::send, by translating them into the delivery
 //     delay (or the absence) of an event on the engine's shared queue —
 //     no per-tick sweeps over links, no per-link queues to drain.
 //
-// The pieces compose: a chain of LinkModel decorators decides the fate
-// of each message (copies, extra delay), a PartitionSchedule vetoes
-// cross-group traffic during its windows, ClusterLatency replaces the
-// global latency draw with intra/inter-cluster distributions, and an
-// egress BandwidthCap turns sender overload into FIFO queueing delay.
+// The model is a closed pipeline built from one NetworkConditions value.
+// resolve() decides each message's fate in a fixed order — partition
+// veto, the startCycle gate, Bernoulli loss, burst loss, duplication,
+// reordering — and each condition draws from the rng only when it is
+// configured (burst, duplication and reordering only while the message
+// is still alive). ClusterLatency replaces the global latency draw with
+// intra/inter-cluster distributions, and an egress BandwidthCap turns
+// sender overload into FIFO queueing delay. The only state is the rng,
+// the per-directed-link burst bits and the per-sender egress slots.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -50,114 +54,6 @@ namespace vs07::sim {
 struct LinkFate {
   std::uint32_t copies = 1;
   std::uint64_t extraDelayTicks = 0;
-};
-
-/// One per-link condition, queried per (src, dst, tick) at the moment a
-/// message is scheduled. Implementations must be deterministic in the
-/// provided rng stream and must not allocate on their no-op path.
-class LinkModel {
- public:
-  virtual ~LinkModel() = default;
-
-  /// Folds this condition into `fate` (already shaped by earlier links
-  /// in the chain). Called once per send, in chain order.
-  virtual void apply(NodeId src, NodeId dst, std::uint64_t tick,
-                     LinkFate& fate, Rng& rng) = 0;
-
-  /// Stable lowercase name for bench JSON metadata.
-  virtual const char* name() const noexcept = 0;
-};
-
-/// Independent per-message Bernoulli loss: each link crossing fails with
-/// probability `lossRate`.
-class BernoulliLossLink final : public LinkModel {
- public:
-  explicit BernoulliLossLink(double lossRate) : lossRate_(lossRate) {
-    VS07_EXPECT(lossRate >= 0.0 && lossRate <= 1.0);
-  }
-  void apply(NodeId, NodeId, std::uint64_t, LinkFate& fate,
-             Rng& rng) override {
-    if (fate.copies != 0 && rng.chance(lossRate_)) fate.copies = 0;
-  }
-  const char* name() const noexcept override { return "bernoulli_loss"; }
-
-  double lossRate() const noexcept { return lossRate_; }
-
- private:
-  double lossRate_;
-};
-
-/// Bursty loss: the classic Gilbert-Elliott two-state Markov chain, one
-/// chain per directed link. Each crossing first advances the link's
-/// state (Good ↔ Bad with the transition probabilities), then drops
-/// with that state's loss rate — so losses cluster in bursts instead of
-/// sprinkling independently. Per-link state is created lazily on first
-/// crossing (an allocation, hence burst loss is not part of the
-/// clean-link zero-alloc contract); the event-driven advance means idle
-/// links cost nothing.
-class GilbertElliottLink final : public LinkModel {
- public:
-  struct Params {
-    double pGoodToBad = 0.05;  ///< per-crossing chance Good → Bad
-    double pBadToGood = 0.25;  ///< per-crossing chance Bad → Good
-    double lossGood = 0.0;     ///< loss rate while Good
-    double lossBad = 0.75;     ///< loss rate while Bad
-  };
-
-  explicit GilbertElliottLink(Params params) : params_(params) {}
-  void apply(NodeId src, NodeId dst, std::uint64_t tick, LinkFate& fate,
-             Rng& rng) override;
-  const char* name() const noexcept override { return "gilbert_elliott"; }
-
-  const Params& params() const noexcept { return params_; }
-  /// Directed links currently tracked (diagnostics).
-  std::size_t trackedLinks() const noexcept { return bad_.size(); }
-
- private:
-  Params params_;
-  /// Directed link (src<<32|dst) → in-Bad-state flag.
-  std::unordered_map<std::uint64_t, std::uint8_t> bad_;
-};
-
-/// Message duplication: with probability `duplicateRate` a crossing
-/// delivers two copies instead of one (both at the same delay; the
-/// receiver counts the second as a redundant delivery).
-class DuplicateLink final : public LinkModel {
- public:
-  explicit DuplicateLink(double duplicateRate) : rate_(duplicateRate) {
-    VS07_EXPECT(duplicateRate >= 0.0 && duplicateRate <= 1.0);
-  }
-  void apply(NodeId, NodeId, std::uint64_t, LinkFate& fate,
-             Rng& rng) override {
-    if (fate.copies != 0 && rng.chance(rate_)) ++fate.copies;
-  }
-  const char* name() const noexcept override { return "duplicate"; }
-
- private:
-  double rate_;
-};
-
-/// Reordering: with probability `reorderRate` a crossing picks up
-/// 1..maxExtraTicks ticks of extra delay, letting later sends overtake
-/// it (the event queue's (dueTick, seq) order does the actual
-/// reordering).
-class ReorderLink final : public LinkModel {
- public:
-  ReorderLink(double reorderRate, std::uint32_t maxExtraTicks)
-      : rate_(reorderRate), maxExtra_(maxExtraTicks) {
-    VS07_EXPECT(reorderRate >= 0.0 && reorderRate <= 1.0);
-    VS07_EXPECT(maxExtraTicks >= 1);
-  }
-  void apply(NodeId, NodeId, std::uint64_t, LinkFate& fate,
-             Rng& rng) override {
-    if (fate.copies != 0 && rng.chance(rate_))
-      fate.extraDelayTicks += 1 + rng.below(maxExtra_);
-  }
-  const char* name() const noexcept override { return "reorder"; }
-
- private:
-  double rate_;
-  std::uint32_t maxExtra_;
 };
 
 // -- partitions ----------------------------------------------------------
@@ -260,20 +156,41 @@ struct BandwidthCap {
 /// analysis::ScenarioBuilder's network hooks accumulate. Every default
 /// is "no adversity"; any() tells whether a model needs building at all.
 struct NetworkConditions {
-  double lossRate = 0.0;            ///< Bernoulli per-crossing loss
-  bool burstLoss = false;           ///< enable Gilbert-Elliott loss
-  GilbertElliottLink::Params burst{};
+  /// Bursty loss: the classic Gilbert-Elliott two-state Markov chain,
+  /// one chain per directed link. Each crossing first advances the
+  /// link's state (Good <-> Bad with the transition probabilities), then
+  /// drops with that state's loss rate — so losses cluster in bursts
+  /// instead of sprinkling independently. Per-link state is created
+  /// lazily on first crossing (an allocation, hence burst loss is not
+  /// part of the clean-link zero-alloc contract); the event-driven
+  /// advance means idle links cost nothing.
+  struct BurstLoss {
+    double pGoodToBad = 0.05;  ///< per-crossing chance Good -> Bad
+    double pBadToGood = 0.25;  ///< per-crossing chance Bad -> Good
+    double lossGood = 0.0;     ///< loss rate while Good
+    double lossBad = 0.75;     ///< loss rate while Bad
+  };
+
+  double lossRate = 0.0;   ///< independent Bernoulli per-crossing loss
+  bool burstLoss = false;  ///< enable Gilbert-Elliott loss
+  BurstLoss burst{};
+  /// Chance a crossing delivers two copies instead of one (both at the
+  /// same delay; the receiver counts the second as redundant).
   double duplicateRate = 0.0;
+  /// Chance a crossing picks up 1..reorderMaxTicks ticks of extra
+  /// delay, letting later sends overtake it (the event queue's
+  /// (dueTick, seq) order does the actual reordering).
   double reorderRate = 0.0;
   std::uint32_t reorderMaxTicks = 3;
   ClusterLatency clusterLatency{};
   BandwidthCap bandwidth{};
-  /// First engine cycle at which the link chain and the bandwidth cap
-  /// engage; links are clean before it. The §7 methodology knob: warm
-  /// the overlay up undisturbed, then degrade the links (sustained loss
-  /// during warm-up starves CYCLON views instead of testing
-  /// dissemination). Cluster latency is *not* gated — heterogeneous
-  /// delay shaping overlay construction is the point of modelling it.
+  /// First engine cycle at which loss, burst loss, duplication,
+  /// reordering and the bandwidth cap engage; links are clean before
+  /// it. The §7 methodology knob: warm the overlay up undisturbed, then
+  /// degrade the links (sustained loss during warm-up starves CYCLON
+  /// views instead of testing dissemination). Cluster latency is *not*
+  /// gated — heterogeneous delay shaping overlay construction is the
+  /// point of modelling it.
   std::uint64_t startCycle = 0;
 
   /// Declarative partition plan (resolved against the built Network).
@@ -297,49 +214,35 @@ struct NetworkConditions {
   }
 };
 
-/// The composed per-link condition layer one simulated system traffics
-/// through (see file comment for the invariants). Owned by the scenario;
-/// sim::LatencyTransport consults it once per send.
+/// The per-link condition layer one simulated system traffics through
+/// (see file comment for the invariants and the resolve order). Owned by
+/// the scenario; sim::LatencyTransport consults it once per send.
 class NetworkModel {
  public:
-  /// Builds the link-model chain `conditions` describes. The partition
-  /// plan needs the population's ring order, hence the Network, and its
+  /// Builds the model `conditions` describes. The partition plan needs
+  /// the population's ring order, hence the Network, and its
   /// cycle-denominated windows scale by `ticksPerCycle`; `seed` feeds
-  /// the model's private rng stream (loss/duplication/reorder draws and
-  /// the arc-position draw).
+  /// the model's private rng stream (loss/burst/duplication/reorder
+  /// draws and the arc-position draw). The per-sender egress bookkeeping
+  /// is pre-sized to Network::totalCreated() so steady-state sends never
+  /// grow it (the zero-alloc contract).
   NetworkModel(const NetworkConditions& conditions, const Network& network,
                std::uint32_t ticksPerCycle, std::uint64_t seed);
-
-  /// An empty model (no conditions) for custom assembly via addLink /
-  /// setPartitions.
-  explicit NetworkModel(std::uint64_t seed);
 
   NetworkModel(const NetworkModel&) = delete;
   NetworkModel& operator=(const NetworkModel&) = delete;
 
-  /// Appends a condition to the chain (applied in insertion order).
-  void addLink(std::unique_ptr<LinkModel> link);
-
-  /// Installs/replaces the partition schedule.
-  void setPartitions(PartitionSchedule schedule);
-  /// Null when no schedule is installed.
+  /// Null when the conditions plan no partition.
   const PartitionSchedule* partitions() const noexcept {
-    return hasPartitions_ ? &partitions_ : nullptr;
+    return partitions_ ? &*partitions_ : nullptr;
   }
-
-  void setClusterLatency(ClusterLatency clusters) { clusters_ = clusters; }
-  void setBandwidth(BandwidthCap cap) { bandwidth_ = cap; }
-
-  /// Pre-sizes the per-sender egress bookkeeping so steady-state sends
-  /// never grow it (the zero-alloc contract). Called by the scenario
-  /// with Network::totalCreated().
-  void reserveNodes(std::uint32_t totalNodes);
 
   // -- the scheduling-time queries (LatencyTransport::send) -------------
 
-  /// Resolves loss / partition veto / duplication / reorder for one
-  /// message from `src` to `dst` scheduled at `tick`. copies == 0 means
-  /// the message is dropped (counters say why).
+  /// Resolves partition veto / loss / burst loss / duplication /
+  /// reorder, in that order, for one message from `src` to `dst`
+  /// scheduled at `tick`. copies == 0 means the message is dropped
+  /// (counters say why).
   LinkFate resolve(NodeId src, NodeId dst, std::uint64_t tick);
 
   /// The base latency draw for this link: cluster intra/inter when
@@ -379,16 +282,14 @@ class NetworkModel {
   const NetworkConditions& conditions() const noexcept { return conditions_; }
 
  private:
-  NetworkConditions conditions_{};
-  std::vector<std::unique_ptr<LinkModel>> chain_;
-  PartitionSchedule partitions_;
-  bool hasPartitions_ = false;
-  ClusterLatency clusters_{};
-  BandwidthCap bandwidth_{};
+  const NetworkConditions conditions_;
+  std::optional<PartitionSchedule> partitions_;
   Rng rng_;
-  /// Tick before which the link chain and bandwidth cap stay disengaged
-  /// (NetworkConditions::startCycle × ticksPerCycle).
+  /// Tick before which the link conditions and bandwidth cap stay
+  /// disengaged (NetworkConditions::startCycle × ticksPerCycle).
   std::uint64_t activeFromTick_ = 0;
+  /// Burst loss: directed link (src<<32|dst) → in-Bad-state flag.
+  std::unordered_map<std::uint64_t, std::uint8_t> burstBad_;
   /// Per-sender next free egress slot, in absolute message slots (tick t
   /// owns slots [t*B, (t+1)*B)); max(current tick's first slot, the
   /// slot after the last departure) is where the next message departs.

@@ -176,14 +176,6 @@ void ShardedEngine::runLockstepCycle() {
       parity_ ^= 1u;  // fresh sends go to the other side
       phase_ = Phase::kDeliver;
       pool_.parallelFor(shardCount_, phaseFn_);
-      // The side just consumed is clear for reuse (slots stay allocated).
-      const std::uint32_t consumed = parity_ ^ 1u;
-      for (std::uint32_t w = 0; w < shardCount_; ++w)
-        for (std::uint32_t d = 0; d < shardCount_; ++d) {
-          Bucket& bucket = outbox(w, consumed, d);
-          bucket.cyclePeak = std::max(bucket.cyclePeak, bucket.count);
-          bucket.count = 0;
-        }
     }
   }
   // Cycle boundary: sequential, like Engine::finishCycle. Membership
@@ -236,10 +228,10 @@ void ShardedEngine::runJitteredCycle() {
       if (lookahead == 0) {
         // Sub-rounds until the tick quiesces: immediate replies land at
         // the same tick, anything a latency draw pushed later was parked
-        // in the stores by deliverNowPhase.
+        // in the stores by deliverPhase.
         while (pendingAt(parity_) > 0) {
           parity_ ^= 1u;
-          phase_ = Phase::kDeliverNow;
+          phase_ = Phase::kDeliver;
           pool_.parallelFor(shardCount_, phaseFn_);
         }
       } else {
@@ -364,9 +356,6 @@ void ShardedEngine::runPhase(std::size_t shard) {
     case Phase::kWindowTick:
       windowTickPhase(s);
       break;
-    case Phase::kDeliverNow:
-      deliverNowPhase(s);
-      break;
     case Phase::kIngest:
       ingestPhase(s);
       break;
@@ -400,6 +389,20 @@ void ShardedEngine::stepPhase(std::uint32_t shard) {
   }
 }
 
+void ShardedEngine::dispatch(Worker& w, NodeId to, const net::Message& msg) {
+  if (!network_.isAlive(to)) {
+    // Stale view entry pointed at a dead node (or the destination died at
+    // a cycle boundary while the message was in flight) — the message
+    // vanishes, which is exactly CYCLON's implicit failure detection.
+    ++w.droppedDead;
+    return;
+  }
+  seedEventRng(w.ctx, to);
+  for (auto* protocol : protocols_)
+    if (protocol->shardDeliver(to, msg, w.ctx)) return;
+  ++w.droppedUnroutable;
+}
+
 void ShardedEngine::deliverPhase(std::uint32_t shard) {
   Worker& w = workers_[shard];
   const std::uint32_t readParity = parity_ ^ 1u;
@@ -409,11 +412,21 @@ void ShardedEngine::deliverPhase(std::uint32_t shard) {
   // opposite parity.
   w.inbox.clear();
   for (std::uint32_t src = 0; src < shardCount_; ++src) {
-    const Bucket& bucket = outbox(src, readParity, shard);
+    Bucket& bucket = outbox(src, readParity, shard);
     for (std::size_t i = 0; i < bucket.count; ++i) {
-      const Pending& p = bucket.slots[i];
-      w.inbox.push_back({p.to, p.msg.from, p.seq, src,
-                         static_cast<std::uint32_t>(i)});
+      Pending& p = bucket.slots[i];
+      if (p.dueTick > currentTick_) {
+        // A latency draw pushed this arrival past the current tick: park
+        // it in the store; a later window's tick delivers it. (checkIn
+        // swaps buffers, leaving the outbox slot warm for reuse.) Never
+        // taken under lockstep: latency is kNone and every dueTick is 0.
+        const NodeId from = p.msg.from;
+        const net::MessagePool::Slot slot = w.store.checkIn(p.to, p.msg);
+        w.dueQueue.push(p.dueTick, StoreRef{p.to, from, p.seq, slot});
+      } else {
+        w.inbox.push_back({p.to, p.msg.from, p.seq, src,
+                           static_cast<std::uint32_t>(i)});
+      }
     }
   }
   // Canonical order: by destination, then sender, then the sender's send
@@ -421,21 +434,15 @@ void ShardedEngine::deliverPhase(std::uint32_t shard) {
   std::sort(w.inbox.begin(), w.inbox.end(), CanonicalOrder{});
   for (const InRef& ref : w.inbox) {
     const Pending& p = outbox(ref.srcShard, readParity, shard).slots[ref.slot];
-    if (!network_.isAlive(p.to)) {
-      // Stale view entry pointed at a dead node — the message vanishes,
-      // which is exactly CYCLON's implicit failure detection.
-      ++w.droppedDead;
-      continue;
-    }
-    seedEventRng(w.ctx, p.to);
-    bool handled = false;
-    for (auto* protocol : protocols_) {
-      if (protocol->shardDeliver(p.to, p.msg, w.ctx)) {
-        handled = true;
-        break;
-      }
-    }
-    if (!handled) ++w.droppedUnroutable;
+    dispatch(w, p.to, p.msg);
+  }
+  // Reset the consumed read-side buckets (dst-owned here: each bucket is
+  // read by exactly one destination shard, and the coordinator's
+  // pendingAt() check runs after the barrier). Slots stay allocated.
+  for (std::uint32_t src = 0; src < shardCount_; ++src) {
+    Bucket& bucket = outbox(src, readParity, shard);
+    bucket.cyclePeak = std::max(bucket.cyclePeak, bucket.count);
+    bucket.count = 0;
   }
 }
 
@@ -447,24 +454,7 @@ void ShardedEngine::windowTickPhase(std::uint32_t shard) {
   w.dueQueue.popDueInto(currentTick_, w.dueScratch);
   std::sort(w.dueScratch.begin(), w.dueScratch.end(), CanonicalOrder{});
   for (const StoreRef& ref : w.dueScratch) {
-    if (!network_.isAlive(ref.to)) {
-      // The destination died (churn at a cycle boundary) while the
-      // message was in flight — implicit failure detection, as in the
-      // lockstep deliver phase.
-      ++w.droppedDead;
-      w.store.release(ref.slot);
-      continue;
-    }
-    net::Message& msg = w.store.at(ref.slot);
-    seedEventRng(w.ctx, ref.to);
-    bool handled = false;
-    for (auto* protocol : protocols_) {
-      if (protocol->shardDeliver(ref.to, msg, w.ctx)) {
-        handled = true;
-        break;
-      }
-    }
-    if (!handled) ++w.droppedUnroutable;
+    dispatch(w, ref.to, w.store.at(ref.slot));
     w.store.release(ref.slot);
   }
   // This tick's node timers. Worklists are rebuilt from aliveIds() each
@@ -477,54 +467,6 @@ void ShardedEngine::windowTickPhase(std::uint32_t shard) {
       seedEventRng(w.ctx, node);
       protocol->shardStep(node, w.ctx);
     }
-  }
-}
-
-void ShardedEngine::deliverNowPhase(std::uint32_t shard) {
-  Worker& w = workers_[shard];
-  const std::uint32_t readParity = parity_ ^ 1u;
-  w.inbox.clear();
-  for (std::uint32_t src = 0; src < shardCount_; ++src) {
-    Bucket& bucket = outbox(src, readParity, shard);
-    for (std::size_t i = 0; i < bucket.count; ++i) {
-      Pending& p = bucket.slots[i];
-      if (p.dueTick > currentTick_) {
-        // A latency draw pushed this arrival past the current tick: park
-        // it in the store; a later window's tick delivers it. (checkIn
-        // swaps buffers, leaving the outbox slot warm for reuse.)
-        const NodeId from = p.msg.from;
-        const net::MessagePool::Slot slot = w.store.checkIn(p.to, p.msg);
-        w.dueQueue.push(p.dueTick, StoreRef{p.to, from, p.seq, slot});
-      } else {
-        w.inbox.push_back({p.to, p.msg.from, p.seq, src,
-                           static_cast<std::uint32_t>(i)});
-      }
-    }
-  }
-  std::sort(w.inbox.begin(), w.inbox.end(), CanonicalOrder{});
-  for (const InRef& ref : w.inbox) {
-    const Pending& p = outbox(ref.srcShard, readParity, shard).slots[ref.slot];
-    if (!network_.isAlive(p.to)) {
-      ++w.droppedDead;
-      continue;
-    }
-    seedEventRng(w.ctx, p.to);
-    bool handled = false;
-    for (auto* protocol : protocols_) {
-      if (protocol->shardDeliver(p.to, p.msg, w.ctx)) {
-        handled = true;
-        break;
-      }
-    }
-    if (!handled) ++w.droppedUnroutable;
-  }
-  // Reset the consumed read-side buckets (dst-owned here: each bucket is
-  // read by exactly one destination shard, and the coordinator's
-  // pendingAt() check runs after the barrier). Slots stay allocated.
-  for (std::uint32_t src = 0; src < shardCount_; ++src) {
-    Bucket& bucket = outbox(src, readParity, shard);
-    bucket.cyclePeak = std::max(bucket.cyclePeak, bucket.count);
-    bucket.count = 0;
   }
 }
 

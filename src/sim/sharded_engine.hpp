@@ -282,9 +282,9 @@ class ShardedEngine {
   enum class Phase {
     kWorklist,    ///< bucket the shard's alive nodes (both schedules)
     kStep,        ///< lockstep: step one batch
-    kDeliver,     ///< lockstep: deliver one parity round
+    kDeliver,     ///< deliver one parity round (lockstep, or windowed
+                  ///< lookahead-0 same-tick sub-round)
     kWindowTick,  ///< windowed: due deliveries then timers at currentTick_
-    kDeliverNow,  ///< windowed, lookahead 0: same-tick delivery sub-round
     kIngest,      ///< windowed: drain read-parity outboxes into stores
   };
 
@@ -297,13 +297,16 @@ class ShardedEngine {
   void runPhase(std::size_t shard);
   void buildWorklist(std::uint32_t shard);
   void stepPhase(std::uint32_t shard);
+  /// Delivers read-parity messages due at currentTick_ in canonical
+  /// order, parks later-due ones in the store (windowed lookahead 0
+  /// only), and resets the consumed buckets.
   void deliverPhase(std::uint32_t shard);
   /// Windowed: deliver everything stored due <= currentTick_ (canonical
   /// order), then fire this tick's node timers.
   void windowTickPhase(std::uint32_t shard);
-  /// Windowed, lookahead 0: deliver read-parity messages due at
-  /// currentTick_ in canonical order; park later-due ones in the store.
-  void deliverNowPhase(std::uint32_t shard);
+  /// Hands one message to the first protocol that claims it, counting
+  /// it dropped when `to` is dead or no protocol routes it.
+  void dispatch(Worker& w, NodeId to, const net::Message& msg);
   /// Windowed, lookahead >= 1: park every read-parity message addressed
   /// to this shard in the store (all are due at or past the horizon).
   void ingestPhase(std::uint32_t shard);

@@ -67,13 +67,6 @@ TEST(MessageStore, RememberIsIdempotent) {
   EXPECT_TRUE(store.hasSeen(7));
 }
 
-TEST(MessageStore, DigestNewestLast) {
-  MessageStore store(10);
-  for (std::uint64_t id = 1; id <= 5; ++id) store.remember(id);
-  EXPECT_EQ(store.digest(3), (std::vector<std::uint64_t>{3, 4, 5}));
-  EXPECT_EQ(store.digest(99).size(), 5u);
-}
-
 TEST(MessageStore, ClearForgetsEverything) {
   MessageStore store(4);
   store.remember(1);
@@ -157,6 +150,34 @@ TEST(LiveCast, PullDisabledLeavesMisses) {
   // is never re-disseminated without pull.
   EXPECT_EQ(h.live.missRatioPercentNow(id), missAfterPush);
   EXPECT_EQ(h.live.pullRequestsSent(), 0u);
+}
+
+TEST(LiveCast, MalformedPullRequestGetsNoAnswer) {
+  LiveCast::Params params;
+  params.pullInterval = 0;  // only the hand-made requests below
+  LiveHarness h(60, params, /*seed=*/4);
+  h.live.publish(h.network.aliveIds().front());
+  const NodeId answerer = h.network.aliveIds()[1];
+  const NodeId requester = h.network.aliveIds()[2];
+  // Sends one PullRequest and returns how many answers it drew.
+  auto answers = [&](std::uint8_t flags, std::vector<std::uint64_t> ids) {
+    net::Message msg;
+    msg.kind = net::MessageKind::PullRequest;
+    msg.from = requester;
+    msg.flags = flags;
+    msg.ids = std::move(ids);
+    const std::uint64_t before = h.transport.sent();
+    h.transport.send(answerer, std::move(msg));
+    return h.transport.sent() - before - 1;
+  };
+  constexpr std::uint64_t kOpen = ~std::uint64_t{0};
+  // Well-formed: an empty window [0, +inf) draws the buffered id.
+  EXPECT_EQ(answers(net::kFlagWindowedDigest, {0, kOpen}), 1u);
+  // No windowed-digest flag, or no [lo, hi] bounds: dropped unanswered.
+  EXPECT_EQ(answers(0, {}), 0u);
+  EXPECT_EQ(answers(0, {0, kOpen}), 0u);
+  EXPECT_EQ(answers(net::kFlagWindowedDigest, {}), 0u);
+  EXPECT_EQ(answers(net::kFlagWindowedDigest, {0}), 0u);
 }
 
 TEST(LiveCast, PullIntervalThrottlesTraffic) {

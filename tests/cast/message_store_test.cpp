@@ -1,5 +1,5 @@
-// Dedicated MessageStore coverage: FIFO eviction at capacity, digest
-// ordering, and the §8 forgetting semantics — "the duration for which
+// Dedicated MessageStore coverage: FIFO eviction at capacity, the
+// recovery horizon, and the §8 forgetting semantics — "the duration for which
 // nodes maintain old messages" is the buffer capacity, and once an id is
 // evicted the node treats a re-reception as brand new: it delivers,
 // re-buffers, and re-forwards it (src/cast/live.cpp, handleData).
@@ -47,17 +47,6 @@ TEST(MessageStore, ReRememberingDoesNotRefreshFifoPosition) {
   EXPECT_TRUE(store.hasSeen(3));
 }
 
-TEST(MessageStore, DigestNewestLastAndBounded) {
-  MessageStore store(8);
-  for (std::uint64_t id = 10; id <= 15; ++id) store.remember(id);
-  // Full digest preserves arrival order, newest last.
-  EXPECT_EQ(store.digest(16),
-            (std::vector<std::uint64_t>{10, 11, 12, 13, 14, 15}));
-  // A bounded digest keeps the *newest* ids, still newest last.
-  EXPECT_EQ(store.digest(3), (std::vector<std::uint64_t>{13, 14, 15}));
-  EXPECT_EQ(store.digest(0), std::vector<std::uint64_t>{});
-}
-
 TEST(MessageStore, ZeroCapacityRejected) {
   EXPECT_THROW(MessageStore(0), ContractViolation);
 }
@@ -68,7 +57,6 @@ TEST(MessageStore, ClearForgetsEverything) {
   store.clear();
   EXPECT_FALSE(store.hasSeen(1));
   EXPECT_TRUE(store.buffered().empty());
-  EXPECT_TRUE(store.digest(4).empty());
 }
 
 TEST(MessageStore, EvictionIsSticky) {

@@ -1,4 +1,5 @@
-// sim/network_model unit suite: the stock LinkModels, the
+// sim/network_model unit suite: each link condition resolved through
+// NetworkConditions + NetworkModel::resolve, the pinned fate stream, the
 // PartitionSchedule (windows, grouping, healing, the §5.1 arc
 // compatibility with sim/failures), cluster latency, and the FIFO
 // egress bandwidth cap.
@@ -10,56 +11,70 @@
 #include <cmath>
 #include <set>
 
+#include "common/expect.hpp"
 #include "sim/failures.hpp"
 #include "sim/network.hpp"
 
 namespace vs07::sim {
 namespace {
 
-TEST(BernoulliLossLink, DropsAtConfiguredRate) {
-  BernoulliLossLink link(0.25);
-  Rng rng(7);
+/// A model over a small network built from `conditions` alone (one tick
+/// per cycle, so startCycle and partition windows count ticks).
+struct Harness {
+  explicit Harness(const NetworkConditions& conditions,
+                   std::uint64_t seed = 7)
+      : network(16, 3), model(conditions, network, 1, seed) {}
+  Network network;
+  NetworkModel model;
+};
+
+TEST(NetworkModel, LossDropsAtConfiguredRate) {
+  NetworkConditions conditions;
+  conditions.lossRate = 0.25;
+  Harness h(conditions);
   int dropped = 0;
   constexpr int kTrials = 20'000;
-  for (int i = 0; i < kTrials; ++i) {
-    LinkFate fate;
-    link.apply(1, 2, 0, fate, rng);
-    if (fate.copies == 0) ++dropped;
-  }
+  for (int i = 0; i < kTrials; ++i)
+    if (h.model.resolve(1, 2, 0).copies == 0) ++dropped;
   const double rate = static_cast<double>(dropped) / kTrials;
   EXPECT_NEAR(rate, 0.25, 0.02);
+  EXPECT_EQ(h.model.droppedByLoss(), static_cast<std::uint64_t>(dropped));
 }
 
-TEST(BernoulliLossLink, ZeroRateNeverDrops) {
-  BernoulliLossLink link(0.0);
-  Rng rng(7);
+TEST(NetworkModel, ZeroRatesNeverDropDuplicateOrDelay) {
+  NetworkConditions conditions;
+  conditions.lossRate = 0.0;
+  conditions.duplicateRate = 0.0;
+  conditions.reorderRate = 0.0;
+  Harness h(conditions);
   for (int i = 0; i < 1000; ++i) {
-    LinkFate fate;
-    link.apply(1, 2, 0, fate, rng);
+    const LinkFate fate = h.model.resolve(1, 2, 0);
     EXPECT_EQ(fate.copies, 1u);
     EXPECT_EQ(fate.extraDelayTicks, 0u);
   }
+  EXPECT_EQ(h.model.droppedByLoss(), 0u);
+  EXPECT_EQ(h.model.duplicated(), 0u);
+  EXPECT_EQ(h.model.reordered(), 0u);
+  EXPECT_EQ(h.model.partitions(), nullptr);  // no plan, no schedule
 }
 
-TEST(GilbertElliottLink, LossesClusterInBursts) {
+TEST(NetworkModel, BurstLossesClusterInBursts) {
   // Sticky chain with a lossless Good state and a lossy Bad state: the
   // same overall loss events must arrive in runs, which independent
   // Bernoulli loss at the matched average would not produce.
-  GilbertElliottLink::Params params;
-  params.pGoodToBad = 0.02;
-  params.pBadToGood = 0.2;
-  params.lossGood = 0.0;
-  params.lossBad = 1.0;
-  GilbertElliottLink link(params);
-  Rng rng(11);
+  NetworkConditions conditions;
+  conditions.burstLoss = true;
+  conditions.burst.pGoodToBad = 0.02;
+  conditions.burst.pBadToGood = 0.2;
+  conditions.burst.lossGood = 0.0;
+  conditions.burst.lossBad = 1.0;
+  Harness h(conditions, 11);
   constexpr int kTrials = 50'000;
   int losses = 0;
   int bursts = 0;  // maximal runs of consecutive losses
   bool inBurst = false;
   for (int i = 0; i < kTrials; ++i) {
-    LinkFate fate;
-    link.apply(3, 4, 0, fate, rng);
-    const bool lost = fate.copies == 0;
+    const bool lost = h.model.resolve(3, 4, 0).copies == 0;
     losses += lost ? 1 : 0;
     if (lost && !inBurst) ++bursts;
     inBurst = lost;
@@ -68,47 +83,96 @@ TEST(GilbertElliottLink, LossesClusterInBursts) {
   const double meanBurstLength = static_cast<double>(losses) / bursts;
   // Geometric dwell time in Bad: mean run length 1/pBadToGood = 5.
   EXPECT_GT(meanBurstLength, 3.0);
-  EXPECT_EQ(link.trackedLinks(), 1u);
 }
 
-TEST(GilbertElliottLink, LinksHaveIndependentState) {
-  GilbertElliottLink::Params params;
-  params.pGoodToBad = 1.0;  // first crossing flips the link to Bad
-  params.pBadToGood = 0.0;
-  params.lossBad = 1.0;
-  GilbertElliottLink link(params);
-  Rng rng(3);
-  LinkFate fate;
-  link.apply(1, 2, 0, fate, rng);
-  EXPECT_EQ(fate.copies, 0u);
-  // The reverse direction is a distinct chain (asymmetric loss): it also
-  // flips on its own first crossing, tracked separately.
-  link.apply(2, 1, 0, fate = {}, rng);
-  EXPECT_EQ(link.trackedLinks(), 2u);
+TEST(NetworkModel, BurstChainsArePerDirectedLink) {
+  // A chain that flips on every crossing, losing everything while Bad:
+  // each directed link alternates drop, deliver, drop, ... from its own
+  // first crossing. One shared chain would instead alternate across the
+  // interleaved sends, delivering 2 -> 1's first crossing.
+  NetworkConditions conditions;
+  conditions.burstLoss = true;
+  conditions.burst.pGoodToBad = 1.0;
+  conditions.burst.pBadToGood = 1.0;
+  conditions.burst.lossGood = 0.0;
+  conditions.burst.lossBad = 1.0;
+  Harness h(conditions, 3);
+  for (int round = 0; round < 4; ++round) {
+    const std::uint32_t expected = round % 2 == 0 ? 0u : 1u;
+    EXPECT_EQ(h.model.resolve(1, 2, 0).copies, expected) << round;
+    EXPECT_EQ(h.model.resolve(2, 1, 0).copies, expected) << round;
+    EXPECT_EQ(h.model.resolve(1, 3, 0).copies, expected) << round;
+  }
 }
 
-TEST(DuplicateLink, AddsCopies) {
-  DuplicateLink link(1.0);
-  Rng rng(5);
-  LinkFate fate;
-  link.apply(1, 2, 0, fate, rng);
-  EXPECT_EQ(fate.copies, 2u);
-  // Dropped messages are not resurrected by duplication.
-  LinkFate dead;
-  dead.copies = 0;
-  link.apply(1, 2, 0, dead, rng);
-  EXPECT_EQ(dead.copies, 0u);
+TEST(NetworkModel, DuplicationAddsACopyButNeverResurrectsADrop) {
+  NetworkConditions conditions;
+  conditions.duplicateRate = 1.0;
+  Harness duplicating(conditions);
+  EXPECT_EQ(duplicating.model.resolve(1, 2, 0).copies, 2u);
+  EXPECT_EQ(duplicating.model.duplicated(), 1u);
+
+  conditions.lossRate = 1.0;
+  Harness lossy(conditions);
+  EXPECT_EQ(lossy.model.resolve(1, 2, 0).copies, 0u);
+  EXPECT_EQ(lossy.model.duplicated(), 0u);
+  EXPECT_EQ(lossy.model.droppedByLoss(), 1u);
 }
 
-TEST(ReorderLink, AddsBoundedDelay) {
-  ReorderLink link(1.0, 4);
-  Rng rng(5);
+TEST(NetworkModel, ReorderAddsBoundedDelay) {
+  NetworkConditions conditions;
+  conditions.reorderRate = 1.0;
+  conditions.reorderMaxTicks = 4;
+  Harness h(conditions, 5);
   for (int i = 0; i < 200; ++i) {
-    LinkFate fate;
-    link.apply(1, 2, 0, fate, rng);
+    const LinkFate fate = h.model.resolve(1, 2, 0);
+    EXPECT_EQ(fate.copies, 1u);
     EXPECT_GE(fate.extraDelayTicks, 1u);
     EXPECT_LE(fate.extraDelayTicks, 4u);
   }
+  EXPECT_EQ(h.model.reordered(), 200u);
+}
+
+TEST(NetworkModel, RejectsOutOfRangeConditions) {
+  Network network(8, 3);
+  auto build = [&network](auto tweak) {
+    NetworkConditions conditions;
+    tweak(conditions);
+    NetworkModel model(conditions, network, 1, 42);
+  };
+  EXPECT_THROW(build([](auto& c) { c.lossRate = 1.5; }), ContractViolation);
+  EXPECT_THROW(build([](auto& c) { c.duplicateRate = -0.1; }),
+               ContractViolation);
+  EXPECT_THROW(build([](auto& c) { c.reorderRate = 2.0; }),
+               ContractViolation);
+  EXPECT_THROW(build([](auto& c) {
+                 c.reorderRate = 0.5;
+                 c.reorderMaxTicks = 0;
+               }),
+               ContractViolation);
+  EXPECT_THROW(build([](auto& c) { c.burst.lossBad = 1.5; }),
+               ContractViolation);
+  EXPECT_THROW(build([](auto& c) { c.burst.pGoodToBad = -0.5; }),
+               ContractViolation);
+}
+
+TEST(NetworkModel, ConditionsEngageAtStartCycle) {
+  NetworkConditions conditions;
+  conditions.lossRate = 1.0;
+  conditions.bandwidth.messagesPerTick = 1;
+  conditions.startCycle = 3;
+  Network network(8, 3);
+  NetworkModel model(conditions, network, /*ticksPerCycle=*/2, 42);
+  // Ticks before startCycle * ticksPerCycle are clean and unmetered.
+  for (std::uint64_t tick = 0; tick < 6; ++tick) {
+    EXPECT_EQ(model.resolve(0, 1, tick).copies, 1u);
+    EXPECT_EQ(model.egressDelay(0, tick), 0u);
+    EXPECT_EQ(model.egressDelay(0, tick), 0u);
+  }
+  EXPECT_EQ(model.droppedByLoss(), 0u);
+  EXPECT_EQ(model.resolve(0, 1, 6).copies, 0u);
+  EXPECT_EQ(model.egressDelay(0, 6), 0u);
+  EXPECT_EQ(model.egressDelay(0, 6), 1u);
 }
 
 TEST(PartitionSchedule, WindowsActivateAndHeal) {
@@ -246,13 +310,14 @@ TEST(BandwidthCap, UnlimitedByDefault) {
 TEST(NetworkModel, ResolveAppliesPartitionBeforeLoss) {
   NetworkConditions conditions;
   conditions.lossRate = 1.0;  // everything the partition spares is lost
+  conditions.partition.kind = NetworkConditions::PartitionPlan::Kind::kRingSplit;
+  conditions.partition.groups = 2;
+  conditions.partition.windowsCycles = {{0, 100}};
   Network network(10, 3);
   NetworkModel model(conditions, network, 1, 42);
-  PartitionSchedule schedule = PartitionSchedule::splitRing(network, 2);
-  schedule.addWindow(0, 100);
-  const NodeId a = schedule.members(0).front();
-  const NodeId b = schedule.members(1).front();
-  model.setPartitions(std::move(schedule));
+  ASSERT_NE(model.partitions(), nullptr);
+  const NodeId a = model.partitions()->members(0).front();
+  const NodeId b = model.partitions()->members(1).front();
 
   EXPECT_EQ(model.resolve(a, b, 5).copies, 0u);
   EXPECT_EQ(model.droppedByPartition(), 1u);
@@ -262,7 +327,7 @@ TEST(NetworkModel, ResolveAppliesPartitionBeforeLoss) {
   EXPECT_EQ(model.droppedByLoss(), 1u);
 }
 
-TEST(NetworkModel, ConditionsBuildTheDescribedChain) {
+TEST(NetworkModel, DuplicationAndReorderCompose) {
   NetworkConditions conditions;
   conditions.duplicateRate = 1.0;
   conditions.reorderRate = 1.0;
@@ -293,6 +358,54 @@ TEST(NetworkModel, DeterministicAcrossIdenticalRuns) {
   }
   EXPECT_EQ(a.droppedByLoss(), b.droppedByLoss());
   EXPECT_EQ(a.duplicated(), b.duplicated());
+}
+
+TEST(NetworkModel, FateStreamPinned) {
+  // Every condition armed at once; a fixed send stream walks through the
+  // warm-up gate (startCycle 3 = tick 12), both partition windows (ticks
+  // [20, 36) and [80, 88)) and a saturated egress cap. The hash folds
+  // every resolve / egressDelay / latencyTicks output in transport order
+  // (LatencyTransport::send), so any change to which condition draws
+  // when, or in what order, moves it.
+  NetworkConditions conditions;
+  conditions.lossRate = 0.05;
+  conditions.burstLoss = true;
+  conditions.duplicateRate = 0.1;
+  conditions.reorderRate = 0.2;
+  conditions.reorderMaxTicks = 4;
+  conditions.clusterLatency = {3, LatencyModel::fixed(1),
+                               LatencyModel::uniform(2, 8)};
+  conditions.bandwidth.messagesPerTick = 2;
+  conditions.startCycle = 3;
+  conditions.partition.kind = NetworkConditions::PartitionPlan::Kind::kRingArc;
+  conditions.partition.arcFraction = 0.3;
+  conditions.partition.windowsCycles = {{5, 9}, {20, 22}};
+  Network network(500, 9);
+  NetworkModel model(conditions, network, /*ticksPerCycle=*/4,
+                     /*seed=*/1234);
+  Rng sends(77);
+  Rng latency(78);
+  const LatencyModel fallback = LatencyModel::fixed(1);
+  std::uint64_t hash = 0;
+  auto fold = [&hash](std::uint64_t value) { hash = mix64(hash ^ value); };
+  for (std::uint64_t tick = 0; tick < 200; ++tick) {
+    for (int i = 0; i < 500; ++i) {
+      const auto src = static_cast<NodeId>(sends.below(500));
+      const auto dst = static_cast<NodeId>(sends.below(500));
+      const LinkFate fate = model.resolve(src, dst, tick);
+      fold(fate.copies);
+      fold(fate.extraDelayTicks);
+      fold(model.egressDelay(src, tick));
+      if (fate.copies != 0)
+        fold(model.latencyTicks(src, dst, fallback, latency));
+    }
+  }
+  EXPECT_EQ(model.droppedByLoss(), 7952u);
+  EXPECT_EQ(model.droppedByPartition(), 5026u);
+  EXPECT_EQ(model.duplicated(), 8117u);
+  EXPECT_EQ(model.reordered(), 16141u);
+  EXPECT_EQ(model.queuedSends(), 14696u);
+  EXPECT_EQ(hash, 0x3e1d79b19da53cbeULL);
 }
 
 }  // namespace
